@@ -1,9 +1,10 @@
 /**
  * @file
  * Developer tooling tour: record the runtime's schedule for an
- * AlexNet step, dump it as CSV and Chrome-trace JSON (load the JSON
- * in chrome://tracing or Perfetto), print the generated OpenCL-C for
- * one complex op, and export the run report as CSV/JSON.
+ * AlexNet step, export its timeline as Chrome-trace JSON (load it in
+ * chrome://tracing or Perfetto, or summarize it with hpim_trace),
+ * export the run report as CSV/JSON, and print the generated OpenCL-C
+ * for one complex op.
  *
  *   $ ./examples/inspect_schedule [out_dir]
  */
@@ -17,6 +18,7 @@
 #include "harness/report_io.hh"
 #include "sim/logging.hh"
 #include "nn/models.hh"
+#include "obs/trace.hh"
 #include "rt/executor.hh"
 #include "rt/hetero_runtime.hh"
 #include "rt/schedule_trace.hh"
@@ -28,7 +30,8 @@ main(int argc, char **argv)
 
     std::string out_dir = argc > 1 ? argv[1] : ".";
 
-    // ---- Record a scheduled run.
+    // ---- Record a scheduled run: the ScheduleTrace gives per-device
+    //      busy time, the attached TraceSession the full timeline.
     auto config = baseline::makeConfig(baseline::SystemKind::HeteroPim);
     auto graph = nn::buildAlexNet();
 
@@ -37,7 +40,10 @@ main(int argc, char **argv)
     rt::Executor executor(config, &prepared.selection);
     rt::ScheduleTrace trace;
     executor.attachTrace(&trace);
+    obs::TraceSession timeline;
+    timeline.attach();
     auto report = executor.run(graph, 2);
+    timeline.detach();
 
     std::cout << "recorded " << trace.size()
               << " scheduled intervals over "
@@ -50,12 +56,14 @@ main(int argc, char **argv)
                   << trace.busySeconds(placement) << " s\n";
     }
 
-    std::ofstream csv(out_dir + "/schedule.csv");
-    trace.dumpCsv(csv);
-    std::ofstream chrome(out_dir + "/schedule.json");
-    trace.dumpChromeTrace(chrome);
-    std::cout << "wrote " << out_dir << "/schedule.csv and "
-              << out_dir << "/schedule.json (chrome://tracing)\n";
+    try {
+        timeline.exportChromeTrace(out_dir + "/schedule.json");
+    } catch (const obs::TraceExportError &e) {
+        fatal("cannot export the timeline: ", e.what());
+    }
+    std::cout << "wrote " << out_dir << "/schedule.json ("
+              << timeline.eventCount()
+              << " events; chrome://tracing)\n";
 
     // ---- Report export.
     try {

@@ -1,7 +1,5 @@
 #include "rt/schedule_trace.hh"
 
-#include <iomanip>
-
 #include "sim/logging.hh"
 
 namespace hpim::rt {
@@ -37,38 +35,6 @@ ScheduleTrace::abort(std::size_t token, double end_sec)
 {
     end(token, end_sec);
     _entries[token].aborted = true;
-}
-
-void
-ScheduleTrace::dumpCsv(std::ostream &os) const
-{
-    os << "label,placement,workload,step,start_s,end_s,duration_s\n";
-    for (const TraceEntry &e : _entries) {
-        os << e.label << ',' << placedOnName(e.placement) << ','
-           << e.workload << ',' << e.step << ','
-           << std::setprecision(9) << e.startSec << ',' << e.endSec
-           << ',' << e.durationSec() << '\n';
-    }
-}
-
-void
-ScheduleTrace::dumpChromeTrace(std::ostream &os) const
-{
-    os << "{\"traceEvents\":[";
-    bool first = true;
-    for (const TraceEntry &e : _entries) {
-        if (!first)
-            os << ',';
-        first = false;
-        // Complete events ("X"): ts/dur in microseconds; one pid per
-        // workload, one tid per device kind.
-        os << "{\"name\":\"" << e.label << "\",\"ph\":\"X\",\"ts\":"
-           << e.startSec * 1e6 << ",\"dur\":" << e.durationSec() * 1e6
-           << ",\"pid\":" << e.workload << ",\"tid\":\""
-           << placedOnName(e.placement) << " (step " << e.step
-           << ")\"}";
-    }
-    os << "]}";
 }
 
 double

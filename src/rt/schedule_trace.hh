@@ -1,17 +1,15 @@
 /**
  * @file
  * Schedule tracing: a per-op timeline of the executor's placement
- * decisions, exportable as CSV or Chrome-trace JSON
- * (chrome://tracing / Perfetto). Invaluable for understanding why a
- * schedule behaves as it does -- e.g. watching next-step ops slide
- * into idle fixed-function units when OP is enabled.
+ * decisions, the input of rt::validateSchedule. For a timeline to
+ * look at, attach an obs::TraceSession and export it as Chrome-trace
+ * JSON (docs/OBSERVABILITY.md).
  */
 
 #ifndef HPIM_RT_SCHEDULE_TRACE_HH
 #define HPIM_RT_SCHEDULE_TRACE_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -55,12 +53,6 @@ class ScheduleTrace
 
     const std::vector<TraceEntry> &entries() const { return _entries; }
     std::size_t size() const { return _entries.size(); }
-
-    /** "label,placement,workload,step,start,end,duration" rows. */
-    void dumpCsv(std::ostream &os) const;
-
-    /** Chrome-trace JSON ("traceEvents" array; one row per device). */
-    void dumpChromeTrace(std::ostream &os) const;
 
     /** Busy seconds per placement kind. */
     double busySeconds(PlacedOn placement) const;

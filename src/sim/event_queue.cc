@@ -97,18 +97,6 @@ EventQueue::deschedule(Event *event)
     panic_if(event == nullptr, "descheduling a null event");
     panic_if(!event->_scheduled, "descheduling an unscheduled event");
     std::size_t i = event->_heap_index;
-    if (i & kBatchFlag) {
-        // The event sits in the extracted same-tick batch; null its
-        // slot (the serve loop skips nulls) instead of touching the
-        // heap.
-        std::size_t slot = i & ~kBatchFlag;
-        panic_if(slot >= _batch.size() || _batch[slot].event != event,
-                 "event batch index out of sync");
-        event->_scheduled = false;
-        _batch[slot].event = nullptr;
-        --_batch_live;
-        return;
-    }
     panic_if(i >= _heap.size() || _heap[i].event != event,
              "event heap index out of sync");
     event->_scheduled = false;
@@ -123,125 +111,16 @@ EventQueue::reschedule(Event *event, Tick when)
     schedule(event, when);
 }
 
-void
-EventQueue::maybeCoalesce()
-{
-    // Cheap trigger: a same-tick storm shows up as root children
-    // sharing the root's tick. The heap property makes every ancestor
-    // of a same-tick entry same-tick too, so all of them form one
-    // subtree hanging off the root -- a DFS that only follows
-    // matching children visits exactly the storm.
-    const std::size_t size = _heap.size();
-    if (size < kCoalesceMin)
-        return;
-    const Tick when = _heap.front().when;
-    std::size_t same_tick_children = 0;
-    for (std::size_t c = 1; c < std::min<std::size_t>(kArity + 1, size);
-         ++c) {
-        if (_heap[c].when == when)
-            ++same_tick_children;
-    }
-    if (same_tick_children == 0)
-        return;
-
-    std::vector<std::size_t> stack{0};
-    std::vector<std::size_t> taken;
-    while (!stack.empty()) {
-        std::size_t i = stack.back();
-        stack.pop_back();
-        taken.push_back(i);
-        std::size_t first_child = i * kArity + 1;
-        std::size_t last_child =
-            std::min(first_child + kArity, size);
-        for (std::size_t c = first_child; c < last_child; ++c) {
-            if (_heap[c].when == when)
-                stack.push_back(c);
-        }
-    }
-    if (taken.size() < kCoalesceMin)
-        return;
-
-    // Extract the storm: move its entries to _batch (flagging their
-    // back-pointers), compact the survivors and re-heapify them once
-    // (Floyd) instead of popping the batch through the heap N times.
-    _batch.clear();
-    _batch.reserve(taken.size());
-    for (std::size_t i : taken) {
-        _heap[i].event->_heap_index = kBatchFlag;
-        _batch.push_back(_heap[i]);
-    }
-    std::sort(_batch.begin(), _batch.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.before(b);
-              });
-    for (std::size_t slot = 0; slot < _batch.size(); ++slot)
-        _batch[slot].event->_heap_index = kBatchFlag | slot;
-    _batch_pos = 0;
-    _batch_live = _batch.size();
-    _batch_when = when;
-
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < size; ++i) {
-        if ((_heap[i].event->_heap_index & kBatchFlag) == 0)
-            _heap[out++] = _heap[i];
-    }
-    _heap.resize(out);
-    if (out > 0) {
-        for (std::size_t i = 0; i < out; ++i)
-            _heap[i].event->_heap_index = i;
-        for (std::size_t i = (out - 1) / kArity + 1; i-- > 0;)
-            siftDown(i);
-    }
-}
-
 bool
 EventQueue::runOne()
 {
-    // Skip served/descheduled batch slots; drop a fully drained batch.
-    while (_batch_pos < _batch.size()
-           && _batch[_batch_pos].event == nullptr)
-        ++_batch_pos;
-    if (_batch_pos >= _batch.size() && !_batch.empty()) {
-        _batch.clear();
-        _batch_pos = 0;
-        _batch_live = 0;
-    }
-
-    if (_batch.empty() && !_heap.empty()) {
-        maybeCoalesce();
-        // A fresh batch starts at slot 0 with no nulls.
-    }
-
-    Entry top;
-    bool from_batch = false;
-    if (_batch_pos < _batch.size()) {
-        // Merge point: the batch head runs unless an entry scheduled
-        // onto the heap (possibly *during* this batch's drain) orders
-        // strictly before it -- dispatch order stays exactly the
-        // strict (when, priority, sequence) total order.
-        const Entry &head = _batch[_batch_pos];
-        if (_heap.empty() || !_heap.front().before(head)) {
-            top = head;
-            from_batch = true;
-        } else {
-            top = _heap.front();
-        }
-    } else if (!_heap.empty()) {
-        top = _heap.front();
-    } else {
+    if (_heap.empty())
         return false;
-    }
-
+    const Entry top = _heap.front();
     Event *ev = top.event;
     panic_if(top.when < _now, "event time went backwards");
     ev->_scheduled = false;
-    if (from_batch) {
-        _batch[_batch_pos].event = nullptr;
-        ++_batch_pos;
-        --_batch_live;
-    } else {
-        removeAt(0);
-    }
+    removeAt(0);
     _now = top.when;
     ++_processed;
     ev->process();

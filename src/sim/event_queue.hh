@@ -12,13 +12,6 @@
  * read of the root. One-shot callbacks run on pooled event objects
  * with inline callable storage, so the steady-state schedule/fire
  * cycle performs no heap allocation (docs/PERFORMANCE.md).
- *
- * Same-tick storms (wide graph phases completing together) are
- * *coalesced*: when several entries share the root's tick they are
- * extracted as one sorted batch instead of N successive heap pops.
- * Dispatch order is unchanged -- each serve still compares the batch
- * head against the live heap root, so events scheduled *during* the
- * batch keep their strict (when, priority, sequence) place.
  */
 
 #ifndef HPIM_SIM_EVENT_QUEUE_HH
@@ -136,19 +129,16 @@ class EventQueue
     Tick now() const { return _now; }
 
     /** @return true if no events are pending. */
-    bool empty() const { return _heap.empty() && _batch_live == 0; }
+    bool empty() const { return _heap.empty(); }
 
     /** @return number of pending events. */
-    std::size_t size() const { return _heap.size() + _batch_live; }
+    std::size_t size() const { return _heap.size(); }
 
     /** @return tick of the next pending event; maxTick when empty. */
     Tick
     nextEventTick() const
     {
-        Tick next = _batch_live > 0 ? _batch_when : maxTick;
-        if (!_heap.empty() && _heap.front().when < next)
-            next = _heap.front().when;
-        return next;
+        return _heap.empty() ? maxTick : _heap.front().when;
     }
 
     /**
@@ -296,29 +286,7 @@ class EventQueue
     /** Remove slot @p i, restoring the heap property. */
     void removeAt(std::size_t i);
 
-    /**
-     * If enough entries share the root's tick, extract them all as
-     * one sorted batch (runOne() then serves the batch without per-
-     * event heap pops). Only called with no live batch.
-     */
-    void maybeCoalesce();
-
-    /**
-     * High bit of Event::_heap_index marks "slot in _batch, not in
-     * _heap", so deschedule() can null a batch slot in O(1).
-     */
-    static constexpr std::size_t kBatchFlag =
-        std::size_t(1) << (sizeof(std::size_t) * 8 - 1);
-    /** Smallest same-tick group worth the O(n) extract/re-heapify. */
-    static constexpr std::size_t kCoalesceMin = 4;
-
     std::vector<Entry> _heap; ///< indexed 4-ary min-heap
-    /** Current same-tick batch, sorted by (priority, sequence).
-     *  Served from _batch_pos on; descheduled slots hold nullptr. */
-    std::vector<Entry> _batch;
-    std::size_t _batch_pos = 0;
-    std::size_t _batch_live = 0; ///< non-null entries not yet served
-    Tick _batch_when = 0;
     Tick _now = 0;
     std::uint64_t _next_sequence = 0;
     std::uint64_t _processed = 0;

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -350,4 +353,120 @@ TEST(EventQueueProperty, MonotonicProcessingUnderRandomLoad)
     ASSERT_EQ(fired.size(), 500u);
     for (std::size_t i = 1; i < fired.size(); ++i)
         EXPECT_LE(fired[i - 1], fired[i]);
+}
+
+// Property: dispatch follows the strict (when, priority, scheduling
+// sequence) order while thousands of events share a few ticks and
+// callbacks schedule, deschedule and reschedule their same-tick
+// siblings mid-drain. Every byte-identity contract rests on this
+// order; a reference ordered map replays it independently.
+TEST(EventQueueProperty, SameTickDispatchMatchesReferenceOrder)
+{
+    constexpr std::size_t kEvents = 4096;
+    constexpr Tick kTicks[] = {10, 20, 30, 40};
+    constexpr Event::Priority kPriorities[] = {
+        Event::completionPriority, -3, Event::defaultPriority, 7,
+        Event::schedulePriority};
+
+    std::uint64_t seed = 0x5eed;
+    auto next_rand = [&seed] {
+        seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+        return seed >> 33;
+    };
+
+    using Key = std::tuple<Tick, Event::Priority, std::uint64_t>;
+    std::map<Key, std::size_t> reference; // pending key -> event id
+    std::vector<Key> keys(kEvents);
+    std::uint64_t sequence = 0;
+
+    EventQueue queue;
+    std::vector<std::unique_ptr<LambdaEvent>> events;
+    auto put = [&](std::size_t id, Tick when) {
+        LambdaEvent &ev = *events[id];
+        if (ev.scheduled()) {
+            reference.erase(keys[id]);
+            queue.reschedule(&ev, when);
+        } else {
+            queue.schedule(&ev, when);
+        }
+        keys[id] = Key{when, ev.priority(), sequence++};
+        reference.emplace(keys[id], id);
+    };
+    auto pick_tick = [&] {
+        // Mostly the tick being drained, sometimes one of a few later.
+        Tick now = queue.now();
+        if (next_rand() % 4 != 0)
+            return now;
+        return now + 10 * (1 + next_rand() % 3);
+    };
+
+    std::vector<std::size_t> fired, expected;
+    int budget = 20000;
+    int scheduled = 0, descheduled = 0, rescheduled = 0;
+    int inconsistent = 0;
+    auto on_fire = [&](std::size_t id) {
+        fired.push_back(id);
+        expected.push_back(reference.begin()->second);
+        reference.erase(keys[id]);
+        const int actions = static_cast<int>(next_rand() % 4);
+        for (int a = 0; a < actions && budget > 0; ++a, --budget) {
+            std::size_t other = next_rand() % kEvents;
+            bool pending = events[other]->scheduled();
+            switch (next_rand() % 3) {
+              case 0:
+                if (!pending) {
+                    put(other, pick_tick());
+                    ++scheduled;
+                }
+                break;
+              case 1:
+                if (pending) {
+                    reference.erase(keys[other]);
+                    queue.deschedule(events[other].get());
+                    ++descheduled;
+                }
+                break;
+              default:
+                if (pending) {
+                    put(other, pick_tick());
+                    ++rescheduled;
+                }
+                break;
+            }
+        }
+        Tick next = reference.empty()
+                        ? maxTick
+                        : std::get<0>(reference.begin()->first);
+        if (queue.size() != reference.size()
+            || queue.nextEventTick() != next)
+            ++inconsistent;
+    };
+
+    for (std::size_t id = 0; id < kEvents; ++id) {
+        events.push_back(std::make_unique<LambdaEvent>(
+            [&on_fire, id] { on_fire(id); },
+            kPriorities[next_rand() % std::size(kPriorities)]));
+    }
+    for (std::size_t id = 0; id < kEvents; ++id) {
+        if (next_rand() % 4 != 0)
+            put(id, kTicks[next_rand() % std::size(kTicks)]);
+    }
+    queue.runAll();
+
+    EXPECT_TRUE(queue.empty());
+    EXPECT_TRUE(reference.empty());
+    EXPECT_EQ(inconsistent, 0);
+    EXPECT_GT(scheduled, 0);
+    EXPECT_GT(descheduled, 0);
+    EXPECT_GT(rescheduled, 0);
+    auto diverged =
+        std::mismatch(fired.begin(), fired.end(), expected.begin());
+    EXPECT_TRUE(diverged.first == fired.end())
+        << "dispatch " << (diverged.first - fired.begin())
+        << " fired event " << *diverged.first << ", reference expects "
+        << *diverged.second;
+    for (auto &ev : events) {
+        if (ev->scheduled())
+            queue.deschedule(ev.get());
+    }
 }

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "baseline/presets.hh"
 #include "nn/models.hh"
 #include "rt/executor.hh"
@@ -35,41 +33,6 @@ TEST(ScheduleTraceDeath, EndBeforeStartPanics)
     ScheduleTrace trace;
     auto t = trace.begin("x", 0, PlacedOn::Cpu, 0, 0, 5.0);
     EXPECT_DEATH(trace.end(t, 4.0), "before it starts");
-}
-
-TEST(ScheduleTrace, CsvHasHeaderAndRows)
-{
-    ScheduleTrace trace;
-    auto t = trace.begin("conv1/Conv2D", 3, PlacedOn::FixedPool, 0,
-                         1, 0.5);
-    trace.end(t, 0.75);
-    std::ostringstream os;
-    trace.dumpCsv(os);
-    std::string text = os.str();
-    EXPECT_NE(text.find("label,placement"), std::string::npos);
-    EXPECT_NE(text.find("conv1/Conv2D,fixed,0,1"), std::string::npos);
-}
-
-TEST(ScheduleTrace, ChromeTraceIsWellFormedJson)
-{
-    ScheduleTrace trace;
-    auto t = trace.begin("op", 0, PlacedOn::ProgrRecursive, 0, 0, 0.0);
-    trace.end(t, 1e-3);
-    std::ostringstream os;
-    trace.dumpChromeTrace(os);
-    std::string text = os.str();
-    EXPECT_EQ(text.front(), '{');
-    EXPECT_EQ(text.back(), '}');
-    EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
-    // Balanced braces.
-    int depth = 0;
-    for (char c : text) {
-        if (c == '{') ++depth;
-        if (c == '}') --depth;
-        EXPECT_GE(depth, 0);
-    }
-    EXPECT_EQ(depth, 0);
 }
 
 TEST(ScheduleTrace, ExecutorFillsTraceForEveryOp)
