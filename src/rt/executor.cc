@@ -230,27 +230,79 @@ Executor::seedStep(std::uint32_t w, std::uint32_t step)
             static_cast<std::uint32_t>(o.inputs.size());
         if (states[o.id].remainingDeps == 0) {
             states[o.id].ready = true;
-            _pending.push_back(OpKey{w, step, o.id});
-            _pending_dirty = true;
+            pushReady(OpKey{w, step, o.id});
         }
     }
 }
 
-std::optional<PlacedOn>
-Executor::decidePlacement(const OpKey &key) const
+void
+Executor::pushReady(const OpKey &key)
 {
     const WorkloadState &wl = _workloads[key.workload];
-    const OpMeta &meta = wl.meta[key.op];
-    OffloadClass cls = meta.cls;
+    std::uint32_t index = wl.readyQueue[key.op];
+    // The rung cannot change while the op waits: only a failed
+    // attempt of a running op moves it.
+    std::uint32_t level = degradeLevel(key);
+    if (level > 0) {
+        Signature sig = _ready[index].sig;
+        sig.level = level;
+        index = queueFor(normalized(sig));
+    }
+    ReadyOp ready;
+    ready.rank = (std::uint64_t{!wl.spec.pimManaged} << 63)
+                 | (std::uint64_t{key.step} << 32) | key.op;
+    ready.seq = _ready_seq++;
+    ready.key = key;
+    std::vector<ReadyOp> &ops = _ready[index].ops;
+    if (ops.empty())
+        _live.push_back(index);
+    ops.insert(std::upper_bound(ops.begin(), ops.end(), ready), ready);
+}
+
+std::uint32_t
+Executor::queueFor(const Signature &sig)
+{
+    for (std::uint32_t i = 0; i < _ready.size(); ++i) {
+        if (_ready[i].sig == sig)
+            return i;
+    }
+    _ready.push_back(ReadyQueue{sig, {}, std::nullopt, 0});
+    return static_cast<std::uint32_t>(_ready.size() - 1);
+}
+
+Executor::Signature
+Executor::normalized(Signature sig) const
+{
+    sig.level = std::min(sig.level, 2u);
+    // Only decidePlacement()'s free-tree test reads the width, and
+    // only for managed, undegraded ops on a system with a pool: the
+    // fixed-function class always, the recursive class when the host
+    // feeds the pool (static placement, or dynamic without RC). Every
+    // other op gets 0, so widths do not split its signature.
+    bool tests_pool =
+        _config.hasFixedPim && sig.managed && sig.level == 0
+        && (sig.cls == OffloadClass::FixedFunction
+            || (sig.cls == OffloadClass::Recursive
+                && (!_config.dynamicScheduling
+                    || (sig.candidate && !_config.recursiveKernels))));
+    sig.unitsPerLane =
+        tests_pool ? std::min(sig.unitsPerLane, _config.fixed.totalUnits)
+                   : 0;
+    return sig;
+}
+
+std::optional<PlacedOn>
+Executor::decidePlacement(const Signature &sig) const
+{
+    OffloadClass cls = sig.cls;
     bool has_fixed = _config.hasFixedPim;
     bool has_progr = _config.hasProgrPim && _progr_free > 0;
     bool fixed_tree_free =
         has_fixed && _fixed_capacity > 0
-        && _fixed_free >= std::min(meta.unitsPerLane,
-                                   _fixed_capacity);
+        && _fixed_free >= std::min(sig.unitsPerLane, _fixed_capacity);
 
     if (faultsOn()) {
-        std::uint32_t level = degradeLevel(key);
+        std::uint32_t level = sig.level;
         // With every pool bank permanently failed, fixed-destined ops
         // skip straight to the next rung instead of waiting forever.
         if (level == 0 && has_fixed && _fixed_alive == 0
@@ -259,11 +311,11 @@ Executor::decidePlacement(const OpKey &key) const
             level = 1;
         }
         if (level > 0)
-            return ladderPlacement(key, level);
+            return ladderPlacement(cls, level);
     }
 
     // Guest workloads (mixed-workload co-run): CPU or progr PIM only.
-    if (!wl.spec.pimManaged) {
+    if (!sig.managed) {
         if (!_cpu_busy)
             return PlacedOn::Cpu;
         if (has_progr)
@@ -304,9 +356,7 @@ Executor::decidePlacement(const OpKey &key) const
     }
 
     // ---- Dynamic scheduling (paper SectionIII-C step 2).
-    bool candidate = meta.candidate;
-
-    if (!candidate) {
+    if (!sig.candidate) {
         // Class-1/4 ops stay on the CPU unless it is busy and PIMs
         // idle ("we can offload them when there are idling hardware
         // units in PIMs").
@@ -319,14 +369,17 @@ Executor::decidePlacement(const OpKey &key) const
         return std::nullopt;
     }
 
+    // Principle 2 sends a candidate to the CPU rather than letting it
+    // idle when the candidate's device is busy -- but only a *small*
+    // one; large kernels wait for their device. A system without that
+    // device has nothing to wait for, so there any size runs on the
+    // CPU.
     switch (cls) {
       case OffloadClass::FixedFunction:
-        // Principle 1: fixed-function PIMs first. When they are all
-        // busy, principle 2 sends *small* candidates to the CPU
-        // rather than letting it idle; large kernels wait for trees.
+        // Principle 1: fixed-function PIMs first.
         if (fixed_tree_free)
             return PlacedOn::FixedPool;
-        if (!_cpu_busy && meta.smallOnCpu)
+        if (!_cpu_busy && (!_config.hasFixedPim || sig.smallOnCpu))
             return PlacedOn::Cpu;
         return std::nullopt;
       case OffloadClass::Recursive:
@@ -336,14 +389,14 @@ Executor::decidePlacement(const OpKey &key) const
             && !_cpu_busy && fixed_tree_free) {
             return PlacedOn::FixedHostDriven;
         }
-        if (!_cpu_busy && (!_config.hasFixedPim || meta.smallOnCpu))
+        if (!_cpu_busy && (!_config.hasFixedPim || sig.smallOnCpu))
             return PlacedOn::Cpu;
         return std::nullopt;
       case OffloadClass::ProgrammableOnly:
       case OffloadClass::DataMovement:
         if (has_progr)
             return PlacedOn::ProgrPim;
-        if (!_cpu_busy && meta.smallOnCpu)
+        if (!_cpu_busy && (!_config.hasProgrPim || sig.smallOnCpu))
             return PlacedOn::Cpu;
         return std::nullopt;
     }
@@ -361,9 +414,8 @@ Executor::degradeLevel(const OpKey &key) const
 }
 
 std::optional<PlacedOn>
-Executor::ladderPlacement(const OpKey &key, std::uint32_t level) const
+Executor::ladderPlacement(OffloadClass cls, std::uint32_t level) const
 {
-    OffloadClass cls = _workloads[key.workload].meta[key.op].cls;
     // Rung 1 is the programmable PIM -- unless the op started there
     // (ProgrammableOnly / DataMovement classes), in which case the
     // first drop already lands on the host.
@@ -379,13 +431,9 @@ Executor::ladderPlacement(const OpKey &key, std::uint32_t level) const
     return _cpu_busy ? std::nullopt : std::optional(PlacedOn::Cpu);
 }
 
-bool
-Executor::tryDispatch(const OpKey &key)
+void
+Executor::startOp(const OpKey &key, PlacedOn placement)
 {
-    auto placement = decidePlacement(key);
-    if (!placement)
-        return false;
-
     OpState &s = state(key);
     s.ready = false;
     s.running = true;
@@ -397,10 +445,10 @@ Executor::tryDispatch(const OpKey &key)
             st.placement.assign(st.ops.size(), PlacedOn::Cpu);
             st.placementLive.assign(st.ops.size(), 0);
         }
-        st.placement[key.op] = *placement;
+        st.placement[key.op] = placement;
         st.placementLive[key.op] = 1;
     } else {
-        ++_report.opsByPlacement[*placement];
+        ++_report.opsByPlacement[placement];
     }
 
     if (_trace) {
@@ -410,12 +458,12 @@ Executor::tryDispatch(const OpKey &key)
             st.traceLive.assign(st.ops.size(), 0);
         }
         st.traceToken[key.op] =
-            _trace->begin(op(key).label, key.op, *placement,
+            _trace->begin(op(key).label, key.op, placement,
                           key.workload, key.step, nowSec());
         st.traceLive[key.op] = 1;
     }
 
-    switch (*placement) {
+    switch (placement) {
       case PlacedOn::Cpu:
         startOnCpu(key);
         break;
@@ -432,48 +480,60 @@ Executor::tryDispatch(const OpKey &key)
         startHostDriven(key);
         break;
     }
-    return true;
 }
 
 void
 Executor::dispatchAll()
 {
-    if (_pending.empty())
-        return;
-    // Priority: managed workloads first, then (step, op id) order.
-    // Dispatching never reorders the survivors, so the sort is needed
-    // only after new ops were pushed (stable_sort on an already
-    // sorted list is the identity, so skipping it changes nothing).
-    if (_pending_dirty) {
-        std::stable_sort(
-            _pending.begin(), _pending.end(),
-            [this](const OpKey &a, const OpKey &b) {
-                bool am = _workloads[a.workload].spec.pimManaged;
-                bool bm = _workloads[b.workload].spec.pimManaged;
-                if (am != bm)
-                    return am;
-                if (a.step != b.step)
-                    return a.step < b.step;
-                return a.op < b.op;
-            });
-        _pending_dirty = false;
-    }
-    // Keep sweeping until a pass places nothing: a dispatch can free
-    // pool units for *earlier* entries (poolReallocate may shrink an
-    // older phase's extra trees when a new phase claims its base
-    // tree), so one pass is not always a fixed point. Survivors are
-    // compacted in place instead of erased one by one.
+    // Devices changed since the last call (completions free them), so
+    // no verdict carries over.
+    ++_epoch;
+    // Sweep the ready ops in priority order, as a scan of one sorted
+    // list would: a cursor walks forward, and each step starts the
+    // earliest op at or after it whose signature is placeable now --
+    // every op it passes over was unplaceable under that same device
+    // state. Keep sweeping until a sweep places nothing: a dispatch
+    // can free pool units for *earlier* ops (poolReallocate may shrink
+    // an older phase's extra trees when a new phase claims its base
+    // tree), so one sweep is not always a fixed point.
     bool progress = true;
     while (progress) {
         progress = false;
-        std::size_t out = 0;
-        for (std::size_t i = 0; i < _pending.size(); ++i) {
-            if (tryDispatch(_pending[i]))
-                progress = true;
-            else
-                _pending[out++] = _pending[i];
+        ReadyOp cursor; // (0, 0) precedes every op
+        while (true) {
+            ReadyQueue *pick = nullptr;
+            std::size_t pick_live = 0;
+            std::vector<ReadyOp>::iterator pick_it{};
+            for (std::size_t i = 0; i < _live.size(); ++i) {
+                ReadyQueue &q = _ready[_live[i]];
+                auto it = std::lower_bound(q.ops.begin(), q.ops.end(),
+                                           cursor);
+                if (it == q.ops.end()
+                    || (pick != nullptr && *pick_it < *it))
+                    continue;
+                if (q.epoch != _epoch) {
+                    q.verdict = decidePlacement(q.sig);
+                    q.epoch = _epoch;
+                    ++_placement_evals;
+                }
+                if (q.verdict) {
+                    pick = &q;
+                    pick_live = i;
+                    pick_it = it;
+                }
+            }
+            if (pick == nullptr)
+                break;
+            cursor = *pick_it;
+            pick->ops.erase(pick_it);
+            if (pick->ops.empty()) {
+                _live[pick_live] = _live.back();
+                _live.pop_back();
+            }
+            startOp(cursor.key, *pick->verdict);
+            ++_epoch;
+            progress = true;
         }
-        _pending.resize(out);
     }
 }
 
@@ -1017,8 +1077,7 @@ Executor::failAttempt(const OpKey &key, FailKind kind)
             if (st.done || st.running || st.ready)
                 return;
             st.ready = true;
-            _pending.push_back(key);
-            _pending_dirty = true;
+            pushReady(key);
             dispatchAll();
         },
         hpim::sim::Event::schedulePriority);
@@ -1200,8 +1259,7 @@ Executor::onOpComplete(const OpKey &key)
         panic_if(cs.remainingDeps == 0, "dependence underflow");
         if (--cs.remainingDeps == 0) {
             cs.ready = true;
-            _pending.push_back(OpKey{key.workload, key.step, consumer});
-            _pending_dirty = true;
+            pushReady(OpKey{key.workload, key.step, consumer});
         }
     }
 
@@ -1235,7 +1293,8 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
              "Executor::run() called twice; construct a fresh "
              "Executor per run");
     _workloads.clear();
-    _pending.clear();
+    _ready.clear();
+    _live.clear();
     _phases.clear();
     _report = ExecutionReport{};
     _report.configName = _config.name;
@@ -1251,20 +1310,19 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
         wl.spec = spec;
         wl.steps.resize(spec.steps);
         wl.remainingOps.assign(spec.steps, 0);
-        // Precompute the placement-relevant facts for every op once;
-        // decidePlacement() reads these on every pending-list scan.
         const Graph &graph = *spec.graph;
-        wl.meta.reserve(graph.size());
+        wl.readyQueue.reserve(graph.size());
         for (OpId id = 0; id < graph.size(); ++id) {
             const Operation &o = graph.op(id);
-            OpMeta meta;
-            meta.cls = hpim::nn::opTraits(o.type).offloadClass;
-            meta.candidate = _selection == nullptr
-                             || _selection->isCandidate(o.type);
-            meta.smallOnCpu = _cpu_model.opSeconds(o.cost)
-                              <= _config.cpuFallbackThresholdSec;
-            meta.unitsPerLane = o.parallelism.unitsPerLane;
-            wl.meta.push_back(meta);
+            Signature sig;
+            sig.cls = opTraits(o.type).offloadClass;
+            sig.candidate = _selection == nullptr
+                            || _selection->isCandidate(o.type);
+            sig.smallOnCpu = _cpu_model.opSeconds(o.cost)
+                             <= _config.cpuFallbackThresholdSec;
+            sig.managed = spec.pimManaged;
+            sig.unitsPerLane = o.parallelism.unitsPerLane;
+            wl.readyQueue.push_back(queueFor(normalized(sig)));
         }
         _workloads.push_back(std::move(wl));
     }
@@ -1299,6 +1357,7 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
         if ((guard & 0xFFFF) == 0)
             hpim::sim::checkDeadline("simulate");
     }
+    obsCount("rt.sched.placement_evals", _placement_evals);
 
     for (const WorkloadState &wl : _workloads) {
         panic_if(wl.completedSteps != wl.spec.steps,

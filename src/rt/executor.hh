@@ -93,20 +93,57 @@ class Executor
     };
 
     /**
-     * Placement-relevant facts about one op, precomputed per workload
-     * when run() starts. decidePlacement() is the simulator's hottest
-     * function; reading these instead of chasing Graph::op ->
-     * opTraits -> CpuModel -> selection-set lookups on every pending
-     * scan is a large share of the PR-5 speedup
-     * (docs/PERFORMANCE.md).
+     * A placement signature: every fact decidePlacement() reads about
+     * an op. Ops with equal signatures get the same placement under
+     * the same device state, so dispatchAll() decides once per
+     * signature, not once per ready op. Each op's signature is
+     * computed once, when run() starts; a degraded retry gets its
+     * rung's signature when it is re-queued.
      */
-    struct OpMeta
+    struct Signature
     {
         hpim::nn::OffloadClass cls = hpim::nn::OffloadClass::FixedFunction;
         bool candidate = true; ///< offload candidate per _selection
         /** CPU run time is under config.cpuFallbackThresholdSec. */
         bool smallOnCpu = false;
-        std::uint32_t unitsPerLane = 1;
+        bool managed = true; ///< WorkloadSpec::pimManaged
+        /** Reduction-tree width, clamped to the pool size; 0 when
+         *  placement never tests the pool for a free tree (see
+         *  normalized()), so such ops share one signature. */
+        std::uint32_t unitsPerLane = 0;
+        /** Degradation rung, capped at 2: every rung past the first
+         *  is the host CPU. */
+        std::uint32_t level = 0;
+
+        bool operator==(const Signature &) const = default;
+    };
+
+    /** A ready op; (rank, seq) orders its dispatch priority. */
+    struct ReadyOp
+    {
+        /** Managed workloads first, then step, then op id. */
+        std::uint64_t rank = 0;
+        /** Ready order: breaks (rank) ties between workloads that
+         *  share a (step, op), first ready first. */
+        std::uint64_t seq = 0;
+        OpKey key{};
+
+        bool
+        operator<(const ReadyOp &other) const
+        {
+            return rank != other.rank ? rank < other.rank
+                                      : seq < other.seq;
+        }
+    };
+
+    /** The ready ops of one signature, in priority order. */
+    struct ReadyQueue
+    {
+        Signature sig;
+        std::vector<ReadyOp> ops;
+        /** decidePlacement(sig), valid while @ref epoch is current. */
+        std::optional<PlacedOn> verdict;
+        std::uint64_t epoch = 0;
     };
 
     struct OpState
@@ -180,7 +217,8 @@ class Executor
     struct WorkloadState
     {
         WorkloadSpec spec;
-        std::vector<OpMeta> meta;                ///< [op]
+        /** [op] ready queue of the op's undegraded signature. */
+        std::vector<std::uint32_t> readyQueue;
         std::vector<StepState> steps;            ///< per step
         std::vector<std::uint32_t> remainingOps; ///< per step
         std::uint32_t completedSteps = 0;
@@ -189,9 +227,16 @@ class Executor
 
     // ---- Scheduling.
     void seedStep(std::uint32_t w, std::uint32_t step);
+    /** Queue a ready op under its signature, in priority order. */
+    void pushReady(const OpKey &key);
+    /** Index of the ready queue for @p sig, created on first use. */
+    std::uint32_t queueFor(const Signature &sig);
+    /** @p sig with its level capped and its width clamped, or 0
+     *  where placement never reads it. */
+    Signature normalized(Signature sig) const;
     void dispatchAll();
-    bool tryDispatch(const OpKey &key);
-    std::optional<PlacedOn> decidePlacement(const OpKey &key) const;
+    void startOp(const OpKey &key, PlacedOn placement);
+    std::optional<PlacedOn> decidePlacement(const Signature &sig) const;
     void startOnCpu(const OpKey &key);
     void startOnProgr(const OpKey &key, bool recursive);
     void startOnFixed(const OpKey &key);
@@ -209,7 +254,7 @@ class Executor
     void setupFaultLayer();
     void scheduleHealthEvents();
     std::uint32_t degradeLevel(const OpKey &key) const;
-    std::optional<PlacedOn> ladderPlacement(const OpKey &key,
+    std::optional<PlacedOn> ladderPlacement(hpim::nn::OffloadClass cls,
                                             std::uint32_t level) const;
     void failAttempt(const OpKey &key, FailKind kind);
     void onBankFailed(std::uint32_t bank);
@@ -242,11 +287,17 @@ class Executor
 
     hpim::sim::EventQueue _queue;
     std::vector<WorkloadState> _workloads;
-    std::vector<OpKey> _pending; ///< ready, not yet placed
-    /** _pending gained entries since its last priority sort; cleared
-     *  by dispatchAll() (dispatch keeps the order, so a clean list
-     *  skips the re-sort entirely). */
-    bool _pending_dirty = false;
+    /** Ready, not yet placed ops: one queue per signature. */
+    std::vector<ReadyQueue> _ready;
+    /** Indices of the non-empty queues in _ready. */
+    std::vector<std::uint32_t> _live;
+    std::uint64_t _ready_seq = 0; ///< next ReadyOp::seq
+    /** Bumped whenever device state may have changed; a queue's
+     *  verdict from an older epoch is stale. */
+    std::uint64_t _epoch = 0;
+    /** decidePlacement() evaluations; run() publishes the total as
+     *  rt.sched.placement_evals. */
+    std::uint64_t _placement_evals = 0;
 
     // Device state.
     bool _cpu_busy = false;

@@ -393,6 +393,11 @@ Server::writeReady(Connection &conn)
 void
 Server::queueResponse(Connection &conn, std::string payload)
 {
+    // The stalled-write clock starts when there is something to
+    // write: a connection idle through a long simulation has not
+    // stalled, and must not be closed before its first write.
+    if (conn.woff >= conn.wbuf.size())
+        conn.lastProgress = Clock::now();
     appendFrame(conn.wbuf, payload);
 }
 

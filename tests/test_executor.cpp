@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "baseline/presets.hh"
+#include "cpu/cpu_model.hh"
 #include "nn/builder.hh"
 #include "nn/models.hh"
 #include "rt/executor.hh"
@@ -187,6 +190,62 @@ TEST(Executor, GuestWorkloadRunsOnCpuAndProgrOnly)
     EXPECT_GT(report.opsByPlacement[PlacedOn::Cpu]
                   + report.opsByPlacement[PlacedOn::ProgrPim],
               0u);
+}
+
+namespace {
+
+/**
+ * Run @p graph's one op for 2 steps under dynamic scheduling with no
+ * OffloadSelection (every op a candidate) and return its placements.
+ * The op must be too large for the CPU fallback of principle 2, which
+ * only sends *small* candidates to the CPU while their device is busy.
+ */
+std::map<PlacedOn, std::uint64_t>
+runLargeCandidate(SystemConfig config, const nn::Graph &graph)
+{
+    config.dynamicScheduling = true;
+    cpu::CpuModel cpu(config.cpu);
+    EXPECT_GT(cpu.opSeconds(graph.op(0).cost),
+              config.cpuFallbackThresholdSec);
+    Executor executor(config);
+    return executor.run(graph, 2).opsByPlacement;
+}
+
+} // namespace
+
+TEST(Executor, LargeFixedFunctionOpWithoutPoolRunsOnCpu)
+{
+    // No fixed pool: there are no trees to wait for, so the op must
+    // fall back to the CPU instead of deadlocking the run.
+    SystemConfig config;
+    config.hasProgrPim = true;
+    config.progrPimCount = 4;
+    nn::Graph graph("big-matmul");
+    graph.add(nn::OpType::MatMul, "mm", nn::matmulCost(1024, 1024, 1024),
+              nn::fixedParallelism(nn::OpType::MatMul, 1024,
+                                   1024.0 * 1024.0));
+    auto placed = runLargeCandidate(config, graph);
+    EXPECT_EQ(placed[PlacedOn::Cpu], 2u);
+}
+
+TEST(Executor, LargeProgrammableOpWithoutProgrPimRunsOnCpu)
+{
+    // No programmable PIM: same fallback for the classes that would
+    // run there (ProgrammableOnly and DataMovement).
+    SystemConfig config;
+    config.hasFixedPim = true;
+    nn::Graph graph("big-adam");
+    graph.add(nn::OpType::ApplyAdam, "adam", nn::applyAdamCost(1 << 24),
+              nn::fixedParallelism(nn::OpType::ApplyAdam, 1, 0.0));
+    auto placed = runLargeCandidate(config, graph);
+    EXPECT_EQ(placed[PlacedOn::Cpu], 2u);
+
+    nn::Graph moves("big-concat");
+    moves.add(nn::OpType::Concat, "concat",
+              nn::dataMovementCost(double(1 << 30)),
+              nn::fixedParallelism(nn::OpType::Concat, 1, 0.0));
+    placed = runLargeCandidate(config, moves);
+    EXPECT_EQ(placed[PlacedOn::Cpu], 2u);
 }
 
 TEST(ExecutorDeath, EmptyWorkloadListIsFatal)

@@ -604,6 +604,36 @@ TEST(ServeServer, DrainingDaemonRejectsNewWorkTyped)
     EXPECT_EQ(by_id[2].code, serve::ErrorCode::ShuttingDown);
 }
 
+TEST(ServeServer, SimulationOutlastingIoTimeoutStillAnswers)
+{
+    // The connection is idle -- nothing to read, nothing to write --
+    // for the whole simulation, several times the IO timeout (~0.6 s
+    // in Release; under ASan ~30 s, inside RawConn's 60 s read
+    // timeout). That is not a stalled write: the response must be
+    // delivered, and no IO timeout counted.
+    serve::ServerOptions options = smallServer("slowsim");
+    options.ioTimeoutMs = 200.0;
+    TestServer server(std::move(options));
+    RawConn conn(server->socketPath());
+
+    conn.sendFrame(serve::encodeRequest(
+        simulateRequest(1, "vgg19", 12'000)));
+    auto response = conn.readResponse();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->id, 1u);
+    EXPECT_TRUE(response->ok);
+
+    serve::Request stats;
+    stats.id = 2;
+    stats.kind = serve::RequestKind::Stats;
+    conn.sendFrame(serve::encodeRequest(stats));
+    auto reply = conn.readResponse();
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_TRUE(reply->ok);
+    harness::json::Value parsed = harness::json::parse(reply->statsJson);
+    EXPECT_EQ(parsed.at("io_timeouts").asUInt64(), 0u);
+}
+
 TEST(ServeServer, DrainGraceHardStopsEndlessWork)
 {
     serve::ServerOptions options = smallServer("graceston");
