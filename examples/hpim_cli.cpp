@@ -18,7 +18,9 @@
  * crash. --dump-graph FILE serializes the selected workload (either
  * form) back to a graph document; with --model that is how built-ins
  * are exported. --dry-run stops after loading/validating (and any
- * --summary/--dot/--dump-graph output) without simulating.
+ * --summary/--dot/--dump-graph output) without simulating. A workload
+ * whose simulated time would pass the 64-bit picosecond clock (about
+ * 1.845e7 s) also exits 1 with a typed error.
  *
  * --trace FILE writes a Chrome/Perfetto timeline of the run
  * (docs/OBSERVABILITY.md). A MetricsRegistry is attached for every
@@ -73,6 +75,7 @@
 #include "nn/summary.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "rt/executor.hh"
 #include "serve/client.hh"
 #include "serve/simulate.hh"
 #include "sim/config.hh"
@@ -514,6 +517,9 @@ main(int argc, char **argv)
     } catch (const sim::DeadlineExceeded &e) {
         std::cerr << "hpim_cli: " << e.what() << '\n';
         return kDeadlineExitCode;
+    } catch (const rt::SimulationRangeError &e) {
+        std::cerr << "hpim_cli: " << e.what() << '\n';
+        return 1;
     }
     if (with_metrics)
         report.metrics = metrics.snapshot();

@@ -34,8 +34,7 @@ void
 applyStackHost(SystemConfig &config)
 {
     // The host reaches the cube over serial links (4 x 30 GB/s).
-    config.externalBandwidth = 120e9;
-    config.cpu.memBandwidth = config.externalBandwidth;
+    config.cpu.memBandwidth = 120e9;
     config.internalBandwidth = 320e9;
     config.dramEnergy = hpim::mem::DramEnergyParams::hmc();
 }
@@ -86,7 +85,6 @@ makeConfig(SystemKind kind, double freq_scale, std::uint32_t progr_pims)
         config.name = "CPU";
         // Host-only system: DDR4 DIMMs as in paper Table IV.
         config.cpu.memBandwidth = 50e9;
-        config.externalBandwidth = 50e9;
         config.dramEnergy = hpim::mem::DramEnergyParams::ddr4();
         config.hostCoordinationFloor = 0.0;
         return config;

@@ -60,14 +60,6 @@ Graph::add(OpType type, std::string label, CostStructure cost,
     op_sig = hashDouble(parallelism.lanes, op_sig);
     _op_signatures.push_back(op_sig);
 
-    // Input-cone digest: the op's own digest folded with each input's
-    // cone digest, in input order. Inputs precede their consumers, so
-    // one incremental pass suffices.
-    std::uint64_t sub_sig = hashU64(op_sig);
-    for (OpId in : op.inputs)
-        sub_sig = hashU64(_subtree_signatures[in], sub_sig);
-    _subtree_signatures.push_back(sub_sig);
-
     _ops.push_back(std::move(op));
     return id;
 }

@@ -115,21 +115,6 @@ class Graph
         return _op_signatures[checkedIndex(id)];
     }
 
-    /**
-     * Digest of the op's whole input cone: its opSignature() folded
-     * with the subtreeSignature() of every input, in input order.
-     * Equal subtree signatures mean structurally identical sub-graphs
-     * feeding structurally identical ops -- the key for memoizing
-     * cone-dependent results. Labels and absolute ids do not
-     * participate, so a repeated block (e.g. a transformer layer)
-     * hashes equal at every repetition. Computed by add().
-     */
-    std::uint64_t
-    subtreeSignature(OpId id) const
-    {
-        return _subtree_signatures[checkedIndex(id)];
-    }
-
   private:
     /** Bounds-checked id -> index (panics on a foreign id). */
     std::size_t checkedIndex(OpId id) const;
@@ -139,7 +124,6 @@ class Graph
     std::vector<std::vector<OpId>> _consumers;
     std::uint64_t _signature;
     std::vector<std::uint64_t> _op_signatures;
-    std::vector<std::uint64_t> _subtree_signatures;
 };
 
 } // namespace hpim::nn

@@ -119,13 +119,6 @@ opName(OpType type)
     return opTraits(type).name;
 }
 
-/** @return true if the entire op may run on fixed-function PIMs. */
-inline bool
-fullyFixedOffloadable(OpType type)
-{
-    return opTraits(type).offloadClass == OffloadClass::FixedFunction;
-}
-
 /** @return true if the op has an extractable fixed-function portion. */
 inline bool
 hasFixedPortion(OpType type)

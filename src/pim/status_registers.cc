@@ -7,17 +7,6 @@
 
 namespace hpim::pim {
 
-const char *
-bankStateName(BankState state)
-{
-    switch (state) {
-      case BankState::Healthy:   return "healthy";
-      case BankState::Throttled: return "throttled";
-      case BankState::Failed:    return "failed";
-    }
-    panic("unknown bank state");
-}
-
 StatusRegisterFile::StatusRegisterFile(
     std::uint32_t banks, std::vector<std::uint32_t> units_per_bank)
     : _capacity(std::move(units_per_bank))
@@ -25,7 +14,6 @@ StatusRegisterFile::StatusRegisterFile(
     fatal_if(_capacity.size() != banks,
              "units_per_bank has ", _capacity.size(), " entries for ",
              banks, " banks");
-    _busy.assign(_capacity.size(), 0);
     _state.assign(_capacity.size(), BankState::Healthy);
     _total_units =
         std::accumulate(_capacity.begin(), _capacity.end(), 0u);
@@ -36,71 +24,6 @@ StatusRegisterFile::checkBank(std::uint32_t bank) const
 {
     panic_if(bank >= _capacity.size(), "bank ", bank, " out of range ",
              _capacity.size());
-}
-
-bool
-StatusRegisterFile::acquire(std::uint32_t bank, std::uint32_t units)
-{
-    if (bank >= _capacity.size()) {
-        warn("acquire of ", units, " units on bank ", bank,
-             " rejected: only ", _capacity.size(), " banks exist");
-        return false;
-    }
-    if (_state[bank] != BankState::Healthy)
-        return false;
-    if (_capacity[bank] - _busy[bank] < units)
-        return false;
-    _busy[bank] += units;
-    if (auto *registry = hpim::obs::MetricsRegistry::current()) {
-        registry->counter("pim.unit_acquires").add(1);
-        registry->histogram("pim.acquire_units").observe(units);
-    }
-    return true;
-}
-
-bool
-StatusRegisterFile::release(std::uint32_t bank, std::uint32_t units)
-{
-    if (bank >= _capacity.size()) {
-        warn("release of ", units, " units on bank ", bank,
-             " rejected: only ", _capacity.size(), " banks exist");
-        return false;
-    }
-    if (_busy[bank] < units) {
-        warn("release of ", units, " units on bank ", bank,
-             " rejected: only ", _busy[bank],
-             " busy; register state left unchanged");
-        return false;
-    }
-    _busy[bank] -= units;
-    return true;
-}
-
-std::uint32_t
-StatusRegisterFile::freeUnits(std::uint32_t bank) const
-{
-    checkBank(bank);
-    if (_state[bank] != BankState::Healthy)
-        return 0;
-    return _capacity[bank] - _busy[bank];
-}
-
-std::uint32_t
-StatusRegisterFile::totalFreeUnits() const
-{
-    std::uint32_t free = 0;
-    for (std::size_t i = 0; i < _capacity.size(); ++i) {
-        if (_state[i] == BankState::Healthy)
-            free += _capacity[i] - _busy[i];
-    }
-    return free;
-}
-
-bool
-StatusRegisterFile::bankBusy(std::uint32_t bank) const
-{
-    checkBank(bank);
-    return _busy[bank] != 0;
 }
 
 BankState

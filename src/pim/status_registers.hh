@@ -1,18 +1,17 @@
 /**
  * @file
- * PIM status registers (paper SectionIV-D, Fig. 7).
+ * Per-bank health registers of the fixed-function pool (after the
+ * status registers of paper SectionIV-D, Fig. 7).
  *
- * One register per bank of fixed-function units plus one for the
- * programmable PIM. The runtime scheduler polls these to decide
- * idleness and query completion; the low-level API (Table III) is a
- * thin veneer over this file.
- *
- * Beyond the paper's BUSY/IDLE view, each bank carries a health state
- * (HEALTHY / THROTTLED / FAILED) driven by the fault-injection layer
- * (sim::FaultModel): failed banks are permanently retired from the
- * pool, throttled banks are temporarily unavailable, and the runtime
- * scheduler reads the aggregate through availableUnits(), aliveUnits()
- * and healthMask() (see docs/RESILIENCE.md).
+ * One register per bank of fixed-function units holds the bank's unit
+ * capacity and its health state (HEALTHY / THROTTLED / FAILED), driven
+ * by the fault-injection layer (sim::FaultModel): failed banks are
+ * permanently retired from the pool and throttled banks are
+ * temporarily unavailable. Which units are busy is not tracked here:
+ * rt::Executor's pool allocator does that. The executor builds a
+ * register file only when faults are on and reads the capacity left
+ * after each health change through availableUnits() and aliveUnits()
+ * (see docs/RESILIENCE.md).
  */
 
 #ifndef HPIM_PIM_STATUS_REGISTERS_HH
@@ -33,10 +32,7 @@ enum class BankState : std::uint8_t
     Failed,    ///< permanently retired from the pool
 };
 
-/** @return printable bank-state name. */
-const char *bankStateName(BankState state);
-
-/** The register file exposed to the host runtime. */
+/** The bank registers: capacity and health per bank. */
 class StatusRegisterFile
 {
   public:
@@ -47,33 +43,8 @@ class StatusRegisterFile
     StatusRegisterFile(std::uint32_t banks,
                        std::vector<std::uint32_t> units_per_bank);
 
-    /**
-     * Mark @p units busy in bank @p bank.
-     * @return false if the bank is out of range (logged), unhealthy,
-     *         or short of free units; state is unchanged on failure.
-     */
-    bool acquire(std::uint32_t bank, std::uint32_t units);
-
-    /**
-     * Release @p units in bank @p bank.
-     * @return false -- with a clear log message and no state change --
-     *         if the bank is out of range or fewer units are busy.
-     */
-    bool release(std::uint32_t bank, std::uint32_t units);
-
-    /** @return free units in bank @p bank (0 when not Healthy). */
-    std::uint32_t freeUnits(std::uint32_t bank) const;
-
-    /** @return free units across all Healthy banks. */
-    std::uint32_t totalFreeUnits() const;
-
     /** @return total units across all banks, ignoring health. */
     std::uint32_t totalUnits() const { return _total_units; }
-
-    /** @return true if any unit in the bank is busy. */
-    bool bankBusy(std::uint32_t bank) const;
-
-    // ---- Health (fault-injection interface).
 
     /** @return health state of bank @p bank. */
     BankState bankState(std::uint32_t bank) const;
@@ -88,8 +59,8 @@ class StatusRegisterFile
     /** @return unit capacity of bank @p bank, ignoring health. */
     std::uint32_t bankCapacity(std::uint32_t bank) const;
 
-    /** @return capacity summed over Healthy banks (excludes busy
-     *  accounting; this is what the scheduler may allocate from). */
+    /** @return capacity summed over Healthy banks (what the pool
+     *  may allocate from). */
     std::uint32_t availableUnits() const;
 
     /** @return capacity summed over non-Failed banks (throttled banks
@@ -103,10 +74,6 @@ class StatusRegisterFile
     /** @return number of permanently failed banks. */
     std::uint32_t failedBanks() const { return _failed_banks; }
 
-    /** Programmable-PIM busy flag. */
-    bool progrBusy() const { return _progr_busy; }
-    void setProgrBusy(bool busy) { _progr_busy = busy; }
-
     std::uint32_t banks() const
     { return static_cast<std::uint32_t>(_capacity.size()); }
 
@@ -114,11 +81,9 @@ class StatusRegisterFile
     void checkBank(std::uint32_t bank) const;
 
     std::vector<std::uint32_t> _capacity;
-    std::vector<std::uint32_t> _busy;
     std::vector<BankState> _state;
     std::uint32_t _total_units = 0;
     std::uint32_t _failed_banks = 0;
-    bool _progr_busy = false;
 };
 
 } // namespace hpim::pim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "model/thermal.hh"
 #include "obs/metrics.hh"
@@ -21,6 +22,16 @@ using hpim::sim::Tick;
 namespace {
 
 constexpr double kWorkEpsilon = 1.0; // flops considered "done"
+
+/** Out of line and cold, so toTick() builds no string on its path. */
+[[noreturn, gnu::cold, gnu::noinline]] void
+throwTickRange(double seconds)
+{
+    std::ostringstream message;
+    message << "simulated time " << seconds
+            << " s does not fit the 64-bit picosecond clock";
+    throw SimulationRangeError(message.str());
+}
 
 } // namespace
 
@@ -200,6 +211,12 @@ Executor::nowSec() const
 Tick
 Executor::toTick(double seconds) const
 {
+    // secondsToTicks() casts to Tick, which is defined only strictly
+    // between -1 and 2^64 ps; past that the run has no tick to land on.
+    const double ps =
+        seconds * static_cast<double>(hpim::sim::ticksPerSecond) + 0.5;
+    if (!(ps > -1.0 && ps < 0x1p64)) [[unlikely]]
+        throwTickRange(seconds);
     return hpim::sim::secondsToTicks(seconds);
 }
 

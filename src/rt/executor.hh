@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,16 @@
 #include "sim/fault_model.hh"
 
 namespace hpim::rt {
+
+/**
+ * Thrown when a run's simulated time would pass the last tick of the
+ * 64-bit picosecond clock (2^64 ps, about 1.845e7 s). Serve answers it
+ * as `bad_request`, hpim_cli exits 1 and a sweep records a failed point.
+ */
+struct SimulationRangeError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
 
 /** One workload to run (co-run studies pass several). */
 struct WorkloadSpec

@@ -77,8 +77,6 @@ struct SystemConfig
     // ---- Memory system.
     /** In-stack bandwidth available to PIMs, bytes/s. */
     double internalBandwidth = 320e9;
-    /** Off-stack link bandwidth available to the host, bytes/s. */
-    double externalBandwidth = 120e9;
     /** Fraction of internal bandwidth PIM compute may consume. */
     double pimBandwidthShare = 0.85;
     /**

@@ -17,6 +17,7 @@
 #include "harness/failpoint.hh"
 #include "harness/json.hh"
 #include "harness/json_writer.hh"
+#include "rt/executor.hh"
 #include "serve/io_retry.hh"
 #include "serve/simulate.hh"
 #include "sim/deadline.hh"
@@ -591,6 +592,12 @@ Server::admitSimulate(Connection &conn, const Request &request)
                         id, ErrorCode::ShuttingDown,
                         "drain grace expired; simulation aborted");
                 }
+            } catch (const hpim::rt::SimulationRangeError &e) {
+                // The request asked for more simulated time than the
+                // tick clock holds: its fault, not the daemon's.
+                _ins->badRequest.add();
+                payload =
+                    encodeError(id, ErrorCode::BadRequest, e.what());
             } catch (const std::exception &e) {
                 _ins->internalErrors.add();
                 payload =

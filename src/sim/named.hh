@@ -21,10 +21,6 @@ class Named
     /** @return the full hierarchical name, e.g. "hmc.vault3.bank1". */
     const std::string &name() const { return _name; }
 
-    /** @return a child name under this component. */
-    std::string childName(const std::string &leaf) const
-    { return _name + "." + leaf; }
-
   private:
     std::string _name;
 };

@@ -2,17 +2,16 @@
  * @file
  * Simulation time base.
  *
- * A Tick is one picosecond of simulated time. All device models convert
- * their clock frequencies into tick periods through this header so that
- * frequency-scaling experiments (paper Fig. 11/17) only change one number.
+ * A Tick is one picosecond of simulated time. The event queue orders
+ * events by tick; rt::Executor converts the analytic device models'
+ * durations (seconds) to ticks, and the DRAM models count clock
+ * periods in ticks (mem::DramTiming::tCK).
  */
 
 #ifndef HPIM_SIM_TICKS_HH
 #define HPIM_SIM_TICKS_HH
 
 #include <cstdint>
-
-#include "sim/logging.hh"
 
 namespace hpim::sim {
 
@@ -39,76 +38,6 @@ ticksToSeconds(Tick ticks)
 {
     return static_cast<double>(ticks) / static_cast<double>(ticksPerSecond);
 }
-
-/** Convert nanoseconds to ticks. */
-constexpr Tick
-nsToTicks(double ns)
-{
-    return secondsToTicks(ns * 1e-9);
-}
-
-/** Convert microseconds to ticks. */
-constexpr Tick
-usToTicks(double us)
-{
-    return secondsToTicks(us * 1e-6);
-}
-
-/** Convert milliseconds to ticks. */
-constexpr Tick
-msToTicks(double ms)
-{
-    return secondsToTicks(ms * 1e-3);
-}
-
-/** Convert ticks to milliseconds. */
-constexpr double
-ticksToMs(Tick ticks)
-{
-    return ticksToSeconds(ticks) * 1e3;
-}
-
-/**
- * A clock domain: a frequency plus the derived tick period.
- *
- * Device models hold a ClockDomain and express latencies in cycles;
- * scaling experiments swap the domain.
- */
-class ClockDomain
-{
-  public:
-    /** @param hz clock frequency in Hertz; must be positive. */
-    explicit ClockDomain(double hz)
-        : _hz(hz)
-    {
-        fatal_if(hz <= 0.0, "clock frequency must be positive, got ", hz);
-        _period = static_cast<Tick>(
-            static_cast<double>(ticksPerSecond) / hz + 0.5);
-        fatal_if(_period == 0, "clock frequency ", hz, " Hz too fast for ",
-                 "a 1 ps tick base");
-    }
-
-    /** @return frequency in Hz. */
-    double hz() const { return _hz; }
-
-    /** @return tick period of one cycle. */
-    Tick period() const { return _period; }
-
-    /** Convert a cycle count to ticks. */
-    Tick cyclesToTicks(std::uint64_t cycles) const
-    { return cycles * _period; }
-
-    /** Convert ticks to (floor) cycles. */
-    std::uint64_t ticksToCycles(Tick t) const { return t / _period; }
-
-    /** @return a domain scaled by the given frequency multiplier. */
-    ClockDomain scaled(double factor) const
-    { return ClockDomain(_hz * factor); }
-
-  private:
-    double _hz;
-    Tick _period;
-};
 
 } // namespace hpim::sim
 

@@ -248,6 +248,36 @@ TEST(Executor, LargeProgrammableOpWithoutProgrPimRunsOnCpu)
     EXPECT_EQ(placed[PlacedOn::Cpu], 2u);
 }
 
+namespace {
+
+/** One MatMul of @p flops multiplies and as many adds. */
+nn::Graph
+oneLongMatMul(double flops)
+{
+    nn::CostStructure cost;
+    cost.muls = flops;
+    cost.adds = flops;
+    cost.bytesRead = 1e6;
+    nn::Graph graph("long-matmul");
+    graph.add(nn::OpType::MatMul, "m", cost, nn::FixedParallelism{4, 1e6});
+    return graph;
+}
+
+} // namespace
+
+TEST(Executor, RunPastTheTickClockThrowsTyped)
+{
+    // At 5e19 the op's completion lies past 2^64 ps (~1.845e7 s), which
+    // no Tick can hold: a typed error, not a wrapped clock.
+    auto config = makeConfig(SystemKind::HeteroPim);
+    EXPECT_THROW(runOn(config, oneLongMatMul(5e19), 1),
+                 SimulationRangeError);
+    // Just inside the clock the same op completes.
+    auto report = runOn(config, oneLongMatMul(4e19), 1);
+    EXPECT_GT(report.makespanSec, 1.8e7);
+    EXPECT_LT(report.makespanSec, 1.845e7);
+}
+
 TEST(ExecutorDeath, EmptyWorkloadListIsFatal)
 {
     auto config = makeConfig(SystemKind::CpuOnly);

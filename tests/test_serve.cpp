@@ -2,7 +2,8 @@
  * @file
  * hpim_serve tests: framing, request/response codecs, and the
  * daemon's robustness contract -- typed overload rejection, deadline
- * expiry both queued and mid-simulation, bad-request recovery,
+ * expiry both queued and mid-simulation, bad-request recovery
+ * (including a run past the tick clock),
  * oversize-frame rejection, graceful drain (with and without the
  * grace hard-stop), byte-identical served reports, and client
  * reconnect.
@@ -441,6 +442,36 @@ TEST(ServeServer, BadRequestGetsTypedErrorAndConnectionSurvives)
     ASSERT_TRUE(pong.has_value());
     EXPECT_TRUE(pong->ok);
     EXPECT_EQ(pong->id, 78u);
+}
+
+TEST(ServeServer, RunPastTheTickClockIsBadRequestAndDaemonServesOn)
+{
+    TestServer server(smallServer("tickrange"));
+    RawConn conn(server->socketPath());
+
+    // One op whose simulated time passes 2^64 ps: the request asks for
+    // more time than the clock holds, so it is the request at fault.
+    serve::Request huge = simulateRequest(90, "alexnet", 1);
+    huge.sim.graph =
+        R"({"schema_version":1,"name":"big","ops":[{"type":"MatMul",)"
+        R"("label":"m","muls":5e19,"adds":5e19,"specials":0,)"
+        R"("bytes_read":1e6,"bytes_written":0,"units_per_lane":4,)"
+        R"("lanes":1e6,"inputs":[]}]})";
+    conn.sendFrame(serve::encodeRequest(huge));
+    auto error = conn.readResponse();
+    ASSERT_TRUE(error.has_value());
+    EXPECT_FALSE(error->ok);
+    EXPECT_EQ(error->code, serve::ErrorCode::BadRequest);
+    EXPECT_EQ(error->id, 90u);
+
+    // The daemon and this connection both live on.
+    conn.sendFrame(
+        serve::encodeRequest(simulateRequest(91, "alexnet", 2)));
+    auto report = conn.readResponse();
+    ASSERT_TRUE(report.has_value());
+    EXPECT_TRUE(report->ok);
+    EXPECT_EQ(report->id, 91u);
+    EXPECT_TRUE(report->hasReport);
 }
 
 TEST(ServeServer, OversizeFrameIsRejectedAndConnectionClosed)

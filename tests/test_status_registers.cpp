@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the PIM status register file (paper Fig. 7).
+ * Unit tests for the per-bank health registers (paper Fig. 7).
  */
 
 #include <gtest/gtest.h>
@@ -24,47 +24,11 @@ TEST(StatusRegisters, InitialStateAllFree)
 {
     auto regs = fourBanks();
     EXPECT_EQ(regs.totalUnits(), 40u);
-    EXPECT_EQ(regs.totalFreeUnits(), 40u);
-    EXPECT_FALSE(regs.bankBusy(0));
-    EXPECT_FALSE(regs.progrBusy());
-}
-
-TEST(StatusRegisters, AcquireReservesUnits)
-{
-    auto regs = fourBanks();
-    EXPECT_TRUE(regs.acquire(1, 6));
-    EXPECT_EQ(regs.freeUnits(1), 4u);
-    EXPECT_TRUE(regs.bankBusy(1));
-    EXPECT_EQ(regs.totalFreeUnits(), 34u);
-}
-
-TEST(StatusRegisters, AcquireFailsWhenShort)
-{
-    auto regs = fourBanks();
-    EXPECT_TRUE(regs.acquire(0, 10));
-    EXPECT_FALSE(regs.acquire(0, 1));
-    // Failed acquire leaves state unchanged.
-    EXPECT_EQ(regs.freeUnits(0), 0u);
-    EXPECT_EQ(regs.totalFreeUnits(), 30u);
-}
-
-TEST(StatusRegisters, ReleaseReturnsUnits)
-{
-    auto regs = fourBanks();
-    regs.acquire(2, 7);
-    regs.release(2, 3);
-    EXPECT_EQ(regs.freeUnits(2), 6u);
-    regs.release(2, 4);
-    EXPECT_FALSE(regs.bankBusy(2));
-}
-
-TEST(StatusRegisters, ProgrBusyFlag)
-{
-    auto regs = fourBanks();
-    regs.setProgrBusy(true);
-    EXPECT_TRUE(regs.progrBusy());
-    regs.setProgrBusy(false);
-    EXPECT_FALSE(regs.progrBusy());
+    EXPECT_EQ(regs.availableUnits(), 40u);
+    EXPECT_EQ(regs.aliveUnits(), 40u);
+    EXPECT_EQ(regs.failedBanks(), 0u);
+    for (std::uint32_t bank = 0; bank < regs.banks(); ++bank)
+        EXPECT_EQ(regs.bankState(bank), BankState::Healthy);
 }
 
 TEST(StatusRegisters, UnevenBankCapacities)
@@ -72,29 +36,13 @@ TEST(StatusRegisters, UnevenBankCapacities)
     // Edge-biased placement gives banks unequal unit counts.
     StatusRegisterFile regs(3, {20, 5, 15});
     EXPECT_EQ(regs.totalUnits(), 40u);
-    EXPECT_TRUE(regs.acquire(0, 20));
-    EXPECT_FALSE(regs.acquire(1, 6));
-    EXPECT_TRUE(regs.acquire(1, 5));
-}
-
-TEST(StatusRegisters, OverReleaseIsCheckedError)
-{
-    auto regs = fourBanks();
-    regs.acquire(0, 2);
-    // Releasing more than is busy is rejected with a log message and
-    // leaves the register state untouched.
-    EXPECT_FALSE(regs.release(0, 3));
-    EXPECT_EQ(regs.freeUnits(0), 8u);
-    EXPECT_TRUE(regs.release(0, 2));
-    EXPECT_FALSE(regs.bankBusy(0));
-}
-
-TEST(StatusRegisters, OutOfRangeAcquireReleaseAreCheckedErrors)
-{
-    auto regs = fourBanks();
-    EXPECT_FALSE(regs.acquire(4, 1));
-    EXPECT_FALSE(regs.release(99, 1));
-    EXPECT_EQ(regs.totalFreeUnits(), 40u);
+    EXPECT_EQ(regs.bankCapacity(0), 20u);
+    EXPECT_EQ(regs.bankCapacity(1), 5u);
+    EXPECT_EQ(regs.bankCapacity(2), 15u);
+    // Retiring the small bank removes exactly its own units.
+    regs.markFailed(1);
+    EXPECT_EQ(regs.availableUnits(), 35u);
+    EXPECT_EQ(regs.aliveUnits(), 35u);
 }
 
 TEST(StatusRegisters, FailedBankRetiresPermanently)
@@ -103,15 +51,17 @@ TEST(StatusRegisters, FailedBankRetiresPermanently)
     regs.markFailed(2);
     EXPECT_EQ(regs.bankState(2), BankState::Failed);
     EXPECT_EQ(regs.failedBanks(), 1u);
-    EXPECT_EQ(regs.freeUnits(2), 0u);
-    EXPECT_FALSE(regs.acquire(2, 1));
     EXPECT_EQ(regs.availableUnits(), 30u);
     EXPECT_EQ(regs.aliveUnits(), 30u);
+    // Capacity is a property of the bank, not of its health.
+    EXPECT_EQ(regs.bankCapacity(2), 10u);
+    EXPECT_EQ(regs.totalUnits(), 40u);
     // Idempotent; un-throttling cannot resurrect a failed bank.
     regs.markFailed(2);
     EXPECT_EQ(regs.failedBanks(), 1u);
     regs.setThrottled(2, false);
     EXPECT_EQ(regs.bankState(2), BankState::Failed);
+    EXPECT_EQ(regs.availableUnits(), 30u);
 }
 
 TEST(StatusRegisters, ThrottledBankComesBack)
@@ -121,10 +71,10 @@ TEST(StatusRegisters, ThrottledBankComesBack)
     EXPECT_EQ(regs.bankState(1), BankState::Throttled);
     EXPECT_EQ(regs.availableUnits(), 30u);
     EXPECT_EQ(regs.aliveUnits(), 40u); // throttled still counts alive
-    EXPECT_FALSE(regs.acquire(1, 1));
+    EXPECT_EQ(regs.failedBanks(), 0u);
     regs.setThrottled(1, false);
+    EXPECT_EQ(regs.bankState(1), BankState::Healthy);
     EXPECT_EQ(regs.availableUnits(), 40u);
-    EXPECT_TRUE(regs.acquire(1, 1));
 }
 
 TEST(StatusRegisters, HealthMaskTracksStates)
@@ -141,7 +91,9 @@ TEST(StatusRegisters, HealthMaskTracksStates)
 TEST(StatusRegistersDeath, BadBankPanics)
 {
     auto regs = fourBanks();
-    EXPECT_DEATH(regs.freeUnits(4), "out of range");
+    EXPECT_DEATH(regs.bankCapacity(4), "out of range");
+    EXPECT_DEATH(regs.bankState(4), "out of range");
+    EXPECT_DEATH(regs.markFailed(4), "out of range");
 }
 
 TEST(StatusRegistersDeath, MismatchedVectorIsFatal)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the time base and clock domains.
+ * Unit tests for the time base.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +13,7 @@ TEST(Ticks, SecondConversionsRoundTrip)
 {
     EXPECT_EQ(secondsToTicks(1.0), ticksPerSecond);
     EXPECT_DOUBLE_EQ(ticksToSeconds(ticksPerSecond), 1.0);
-    EXPECT_EQ(nsToTicks(1.0), 1000u);
-    EXPECT_EQ(usToTicks(1.0), 1'000'000u);
-    EXPECT_EQ(msToTicks(1.0), 1'000'000'000u);
-    EXPECT_DOUBLE_EQ(ticksToMs(msToTicks(2.5)), 2.5);
+    EXPECT_DOUBLE_EQ(ticksToSeconds(secondsToTicks(2.5e-3)), 2.5e-3);
 }
 
 TEST(Ticks, RoundsToNearestTick)
@@ -24,42 +21,4 @@ TEST(Ticks, RoundsToNearestTick)
     // 1.4 ps rounds down, 1.6 ps rounds up.
     EXPECT_EQ(secondsToTicks(1.4e-12), 1u);
     EXPECT_EQ(secondsToTicks(1.6e-12), 2u);
-}
-
-TEST(ClockDomain, PaperClocks)
-{
-    ClockDomain hmc(312.5e6);
-    EXPECT_EQ(hmc.period(), 3200u); // 3.2 ns
-    ClockDomain arm(2.0e9);
-    EXPECT_EQ(arm.period(), 500u); // 0.5 ns
-}
-
-TEST(ClockDomain, CycleConversions)
-{
-    ClockDomain clock(1e9); // 1 ns period
-    EXPECT_EQ(clock.cyclesToTicks(5), 5000u);
-    EXPECT_EQ(clock.ticksToCycles(5999), 5u); // floor
-}
-
-TEST(ClockDomain, ScaledMultipliesFrequency)
-{
-    ClockDomain base(312.5e6);
-    ClockDomain fast = base.scaled(4.0);
-    EXPECT_DOUBLE_EQ(fast.hz(), 1.25e9);
-    EXPECT_EQ(fast.period(), 800u);
-}
-
-TEST(ClockDomainDeath, NonPositiveFrequencyIsFatal)
-{
-    EXPECT_EXIT(ClockDomain(0.0), testing::ExitedWithCode(1),
-                "positive");
-    EXPECT_EXIT(ClockDomain(-5.0), testing::ExitedWithCode(1),
-                "positive");
-}
-
-TEST(ClockDomainDeath, TooFastForTickBaseIsFatal)
-{
-    // > 1 THz has a sub-tick period.
-    EXPECT_EXIT(ClockDomain(3e12), testing::ExitedWithCode(1),
-                "too fast");
 }
