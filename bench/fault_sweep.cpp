@@ -28,6 +28,7 @@
 
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,7 @@
 #include "harness/table_printer.hh"
 #include "nn/models.hh"
 #include "rt/executor.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace {
@@ -73,19 +75,26 @@ main(int argc, char **argv)
 {
     using harness::fmt;
 
-    // Split off --fault-seed before the engine parser (which warns on
+    // Split off --fault-seed before the engine parser (which rejects
     // flags it does not know).
     std::uint64_t fault_seed = sim::defaultSeed;
     std::vector<char *> engine_args = {argv[0]};
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        std::string text;
         if (arg.rfind("--fault-seed=", 0) == 0) {
-            fault_seed = std::stoull(arg.substr(std::strlen("--fault-seed=")));
+            text = arg.substr(std::strlen("--fault-seed="));
         } else if (arg == "--fault-seed" && i + 1 < argc) {
-            fault_seed = std::stoull(argv[++i]);
+            text = argv[++i];
         } else {
             engine_args.push_back(argv[i]);
+            continue;
         }
+        std::optional<std::uint64_t> seed = harness::parseUnsigned(text);
+        if (!seed)
+            fatal("--fault-seed expects an unsigned integer, got '",
+                  text, "'");
+        fault_seed = *seed;
     }
     harness::SweepRunner runner(harness::parseSweepArgs(
         static_cast<int>(engine_args.size()), engine_args.data()));

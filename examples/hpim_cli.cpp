@@ -68,6 +68,7 @@
 
 #include "harness/failpoint.hh"
 #include "harness/report_io.hh"
+#include "harness/sweep.hh"
 #include "harness/table_printer.hh"
 #include "harness/thread_pool.hh"
 #include "nn/graph_io.hh"
@@ -102,20 +103,6 @@ const char *const kUsage =
     "  [--list-graph-ops]   print the graph-document op types\n"
     "  [--failpoints SPEC]  arm deterministic host-IO fault\n"
     "                       injection (docs/RESILIENCE.md)";
-
-/** strtoull with full-consumption checking: '12x' and '-3' fail. */
-std::uint64_t
-parseU64(const std::string &flag, const std::string &text)
-{
-    errno = 0;
-    char *end = nullptr;
-    std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || end != text.c_str() + text.size()
-        || text[0] == '-' || errno == ERANGE)
-        fatal(flag, " expects an unsigned integer, got '", text,
-              "'\n", kUsage);
-    return value;
-}
 
 double
 parseDouble(const std::string &flag, const std::string &text)
@@ -334,6 +321,15 @@ main(int argc, char **argv)
                      kUsage);
             return argv[++i];
         };
+        auto nextUnsigned = [&]() -> std::uint64_t {
+            std::string text = next();
+            std::optional<std::uint64_t> value =
+                harness::parseUnsigned(text);
+            if (!value)
+                fatal(arg, " expects an unsigned integer, got '", text,
+                      "'\n", kUsage);
+            return *value;
+        };
         if (arg == "--model") {
             cli.set("model", next());
             model_flag_set = true;
@@ -348,22 +344,21 @@ main(int argc, char **argv)
         }
         else if (arg == "--system") cli.set("system", next());
         else if (arg == "--steps")
-            cli.set("steps", static_cast<std::int64_t>(
-                                 parseU64(arg, next())));
+            cli.set("steps", static_cast<std::int64_t>(nextUnsigned()));
         else if (arg == "--freq-scale")
             cli.set("freq_scale", parseDouble(arg, next()));
         else if (arg == "--progr-pims")
-            cli.set("progr_pims", static_cast<std::int64_t>(
-                                      parseU64(arg, next())));
+            cli.set("progr_pims",
+                    static_cast<std::int64_t>(nextUnsigned()));
         else if (arg == "--no-rc") cli.set("rc", false);
         else if (arg == "--no-op") cli.set("op", false);
         else if (arg == "--fault-rate")
             cli.set("fault_rate", parseDouble(arg, next()));
         else if (arg == "--kill-banks")
-            cli.set("kill_banks", static_cast<std::int64_t>(
-                                      parseU64(arg, next())));
+            cli.set("kill_banks",
+                    static_cast<std::int64_t>(nextUnsigned()));
         else if (arg == "--fault-seed")
-            fault_seed = parseU64(arg, next());
+            fault_seed = nextUnsigned();
         else if (arg == "--timeout-ms")
             cli.set("timeout_ms", parseDouble(arg, next()));
         else if (arg == "--connect") cli.set("connect", next());

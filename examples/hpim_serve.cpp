@@ -16,7 +16,7 @@
  * requests finish (or are unwound once --drain-grace-ms expires),
  * every response is flushed, and the daemon exits 0.
  *
- * Talk to it with `hpim_cli --connect PATH ...` or bench/serve_load.
+ * Talk to it with `hpim_cli --connect PATH ...` or serve::Client.
  */
 
 #include <cerrno>
@@ -24,9 +24,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "harness/failpoint.hh"
+#include "harness/sweep.hh"
 #include "serve/server.hh"
 #include "sim/logging.hh"
 #include "sim/memo_cache.hh"
@@ -51,19 +53,6 @@ onStopSignal(int)
 {
     if (g_server != nullptr)
         g_server->requestStop();
-}
-
-std::uint64_t
-parseU64(const std::string &flag, const std::string &text)
-{
-    errno = 0;
-    char *end = nullptr;
-    std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || end != text.c_str() + text.size()
-        || text[0] == '-' || errno == ERANGE)
-        fatal(flag, " expects an unsigned integer, got '", text,
-              "'\n", kUsage);
-    return value;
 }
 
 double
@@ -92,26 +81,35 @@ main(int argc, char **argv)
                      kUsage);
             return argv[++i];
         };
+        auto nextUnsigned = [&]() -> std::uint64_t {
+            std::string text = next();
+            std::optional<std::uint64_t> value =
+                hpim::harness::parseUnsigned(text);
+            if (!value)
+                fatal(arg, " expects an unsigned integer, got '", text,
+                      "'\n", kUsage);
+            return *value;
+        };
         if (arg == "--socket") options.socketPath = next();
         else if (arg == "--workers")
             options.workers =
-                static_cast<std::uint32_t>(parseU64(arg, next()));
+                static_cast<std::uint32_t>(nextUnsigned());
         else if (arg == "--admission-limit")
             options.admissionLimit =
-                static_cast<std::size_t>(parseU64(arg, next()));
+                static_cast<std::size_t>(nextUnsigned());
         else if (arg == "--max-frame-bytes")
             options.maxFrameBytes =
-                static_cast<std::size_t>(parseU64(arg, next()));
+                static_cast<std::size_t>(nextUnsigned());
         else if (arg == "--io-timeout-ms")
             options.ioTimeoutMs = parseDouble(arg, next());
         else if (arg == "--drain-grace-ms")
             options.drainGraceMs = parseDouble(arg, next());
         else if (arg == "--max-connections")
             options.maxConnections =
-                static_cast<std::size_t>(parseU64(arg, next()));
+                static_cast<std::size_t>(nextUnsigned());
         else if (arg == "--sim-cache-max-entries")
             hpim::sim::MemoCache::instance().setMaxEntries(
-                static_cast<std::size_t>(parseU64(arg, next())));
+                static_cast<std::size_t>(nextUnsigned()));
         else if (arg == "--trace") options.traceFile = next();
         else if (arg == "--failpoints") {
             try {

@@ -25,11 +25,13 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness/json.hh"
+#include "harness/sweep.hh"
 #include "harness/table_printer.hh"
 #include "sim/logging.hh"
 
@@ -361,14 +363,12 @@ main(int argc, char **argv)
             if (args[i] == "--top") {
                 fatal_if(i + 1 >= args.size(), "--top needs a value\n",
                          kUsage);
-                char *end = nullptr;
-                unsigned long long k =
-                    std::strtoull(args[++i].c_str(), &end, 10);
-                fatal_if(end == args[i].c_str() || *end != '\0'
-                             || k == 0,
-                         "--top expects a positive integer, got '",
-                         args[i], "'\n", kUsage);
-                top_k = static_cast<std::size_t>(k);
+                std::optional<std::uint64_t> k =
+                    harness::parseUnsigned(args[++i]);
+                if (!k || *k == 0)
+                    fatal("--top expects a positive integer, got '",
+                          args[i], "'\n", kUsage);
+                top_k = static_cast<std::size_t>(*k);
             } else {
                 fatal("unknown argument '", args[i], "'\n", kUsage);
             }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
@@ -85,12 +86,11 @@ exitJournalFailure(const std::string &what, const SweepStats &stats)
 std::uint64_t
 parseUint(const char *flag, const std::string &text)
 {
-    char *end = nullptr;
-    std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || text[0] == '-')
+    std::optional<std::uint64_t> value = parseUnsigned(text);
+    if (!value)
         fatal(flag, " expects an unsigned integer, got '", text,
               "'\n", kUsage);
-    return value;
+    return *value;
 }
 
 } // namespace
@@ -581,6 +581,19 @@ parseSweepArgs(int argc, char **argv)
               "publish results through the journal directory\n",
               kUsage);
     return options;
+}
+
+std::optional<std::uint64_t>
+parseUnsigned(std::string_view text)
+{
+    // from_chars takes no sign and skips no whitespace for an
+    // unsigned type, and reports overflow instead of saturating.
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end)
+        return std::nullopt;
+    return value;
 }
 
 void

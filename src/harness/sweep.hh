@@ -50,8 +50,10 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baseline/presets.hh"
@@ -357,6 +359,14 @@ class SweepRunner
  * non-zero instead of being silently ignored.
  */
 SweepOptions parseSweepArgs(int argc, char **argv);
+
+/**
+ * Parse a decimal unsigned integer that fills all of @p text: no
+ * sign, no whitespace, no trailing characters, and no value past
+ * 2^64-1. Returns nullopt otherwise, so each command line can fatal()
+ * with its own usage text.
+ */
+std::optional<std::uint64_t> parseUnsigned(std::string_view text);
 
 /** Print the `[sweep] N points, J workers, ...` wall-clock footer. */
 void printSweepSummary(std::ostream &os, const SweepStats &stats);

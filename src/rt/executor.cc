@@ -1375,6 +1375,7 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
             hpim::sim::checkDeadline("simulate");
     }
     obsCount("rt.sched.placement_evals", _placement_evals);
+    obsCount("rt.sched.events", _queue.processedCount());
 
     for (const WorkloadState &wl : _workloads) {
         panic_if(wl.completedSteps != wl.spec.steps,

@@ -2,8 +2,9 @@
  * @file
  * Blocking client for the hpim_serve wire protocol.
  *
- * hpim_cli's --connect mode and bench/serve_load use this. Connecting
- * retries with bounded exponential backoff (the same
+ * hpim_cli's --connect mode, bench/chaos_sweep, perfbench's serve
+ * workload and tests/test_serve use this. Connecting retries with
+ * bounded exponential backoff (the same
  * `min(base * 2^(attempt-1), cap)` discipline rt::Executor uses for
  * fault retries), so a client racing a daemon that is still binding
  * its socket converges instead of failing. An established connection

@@ -13,8 +13,9 @@
  * (step, op) ties and only the order in which equal-priority ops
  * became ready breaks the tie; and the three ScheduleFuzz corpora.
  *
- * Also pins the exact rt.sched.placement_evals count, the number of
- * placement decisions the dispatch loop evaluates.
+ * Also pins exact work counts -- placement decisions evaluated, events
+ * popped, ops completed, retries and report bytes -- so a change that
+ * makes the simulator do more work fails here on every machine.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include <iomanip>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "baseline/presets.hh"
@@ -34,6 +34,7 @@
 #include "rt/offload_selector.hh"
 #include "rt/profiler.hh"
 #include "schedule_fuzz_corpus.hh"
+#include "serve/simulate.hh"
 #include "sim/hash.hh"
 
 using namespace hpim;
@@ -283,21 +284,63 @@ TEST(DispatchIdentity, ScheduleFuzzCorpora)
               hex(0x8b06bdcf1b0a7f2bULL));
 }
 
-TEST(DispatchIdentity, PlacementEvalsArePinned)
+TEST(DispatchIdentity, WorkCountersArePinned)
 {
-    // rt.sched.placement_evals is exact: Fig. 8's Hetero system at 4
-    // steps, through the same path as the benches.
-    const std::pair<ModelId, std::uint64_t> pinned[] = {
-        {ModelId::AlexNet, 933},
-        {ModelId::Vgg19, 1581},
+    // Every column is exact and machine-independent. The Fig. 8 rows
+    // go through the benches' path; the fault row through the one the
+    // daemon and hpim_cli share.
+    struct Row
+    {
+        const char *name;
+        rt::ExecutionReport (*run)();
+        std::uint64_t placementEvals;
+        std::uint64_t events;
+        std::uint64_t opsCompleted;
+        std::uint64_t retries;
+        std::size_t reportBytes;
     };
-    for (const auto &[model, evals] : pinned) {
+    const Row rows[] = {
+        {"AlexNet on Fig. 8 Hetero",
+         [] {
+             return baseline::runSystem(SystemKind::HeteroPim,
+                                        ModelId::AlexNet, kSteps);
+         },
+         933, 434, 328, 0, 1033},
+        {"VGG-19 on Fig. 8 Hetero",
+         [] {
+             return baseline::runSystem(SystemKind::HeteroPim,
+                                        ModelId::Vgg19, kSteps);
+         },
+         1581, 1003, 740, 0, 1017},
+        {"AlexNet, 4 banks killed, 5% transient faults",
+         [] {
+             serve::SimulateSpec spec;
+             spec.model = "alexnet";
+             spec.system = "hetero";
+             spec.steps = 2;
+             spec.killBanks = 4;
+             spec.faultRate = 0.05;
+             return serve::runSimulate(spec);
+         },
+         405, 239, 164, 3, 1145},
+    };
+    for (const Row &row : rows) {
         obs::MetricsRegistry registry;
         registry.attach();
-        baseline::runSystem(SystemKind::HeteroPim, model, kSteps);
+        rt::ExecutionReport report = row.run();
         registry.detach();
         EXPECT_EQ(registry.counter("rt.sched.placement_evals").value(),
-                  evals)
-            << nn::modelName(model);
+                  row.placementEvals)
+            << row.name;
+        EXPECT_EQ(registry.counter("rt.sched.events").value(),
+                  row.events)
+            << row.name;
+        EXPECT_EQ(registry.counter("rt.ops_completed").value(),
+                  row.opsCompleted)
+            << row.name;
+        EXPECT_EQ(registry.counter("rt.retries").value(), row.retries)
+            << row.name;
+        EXPECT_EQ(harness::jsonString(report).size(), row.reportBytes)
+            << row.name;
     }
 }

@@ -5,8 +5,8 @@
  * expiry both queued and mid-simulation, bad-request recovery
  * (including a run past the tick clock),
  * oversize-frame rejection, graceful drain (with and without the
- * grace hard-stop), byte-identical served reports, and client
- * reconnect.
+ * grace hard-stop), byte-identical served reports (also to concurrent
+ * clients), and client reconnect.
  *
  * Each server test runs a real Server on its own scratch socket with
  * the IO loop on a background thread -- the same wiring as the
@@ -21,6 +21,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -717,6 +718,64 @@ TEST(ServeServer, SharedMemoCacheServesRepeatsFromMemo)
     EXPECT_GE(parsed.at("memo").at("evictions").asUInt64(), 0u);
     // No cap was configured for this daemon.
     EXPECT_EQ(parsed.at("memo").at("max_entries").asUInt64(), 0u);
+}
+
+TEST(ServeServer, ConcurrentClientsAreAllAnsweredByteIdentically)
+{
+    // A closed loop: each client thread waits for its answer before
+    // sending the next request, alternating two configs so the first
+    // visits miss the shared memo cache and the rest hit it.
+    serve::ServerOptions options = smallServer("concurrent");
+    constexpr int kClients = 4;
+    constexpr int kRequests = 25;
+    options.admissionLimit = kClients; // never overloaded
+    TestServer server(std::move(options));
+
+    std::string expected[2];
+    for (std::uint32_t steps : {1u, 2u}) {
+        expected[steps - 1] = harness::jsonString(serve::runSimulate(
+            simulateRequest(0, "alexnet", steps).sim));
+    }
+
+    std::vector<std::vector<serve::Response>> responses(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            serve::Client client = makeClient(server->socketPath());
+            for (int r = 0; r < kRequests; ++r) {
+                responses[c].push_back(client.call(simulateRequest(
+                    c * kRequests + r + 1, "alexnet", 1 + r % 2)));
+            }
+        });
+    }
+    for (std::thread &thread : clients)
+        thread.join();
+
+    for (int c = 0; c < kClients; ++c) {
+        ASSERT_EQ(responses[c].size(), std::size_t(kRequests));
+        for (int r = 0; r < kRequests; ++r) {
+            const serve::Response &response = responses[c][r];
+            ASSERT_TRUE(response.ok)
+                << "client " << c << " request " << r << ": "
+                << serve::errorCodeName(response.code);
+            EXPECT_EQ(response.id, std::uint64_t(c * kRequests + r + 1));
+            ASSERT_TRUE(response.hasReport);
+            EXPECT_EQ(harness::jsonString(response.report),
+                      expected[r % 2])
+                << "client " << c << " request " << r;
+        }
+    }
+
+    serve::Client client = makeClient(server->socketPath());
+    serve::Request stats;
+    stats.kind = serve::RequestKind::Stats;
+    serve::Response reply = client.call(stats);
+    ASSERT_TRUE(reply.ok);
+    EXPECT_GE(harness::json::parse(reply.statsJson)
+                  .at("memo")
+                  .at("hits")
+                  .asUInt64(),
+              1u);
 }
 
 TEST(ServeClient, ReconnectsToARestartedDaemonTransparently)

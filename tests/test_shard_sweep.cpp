@@ -682,6 +682,15 @@ TEST(ShardArgsDeath, MalformedShardSpecsAreRejected)
                 testing::ExitedWithCode(1), "unsigned integer");
 }
 
+TEST(SweepArgsDeath, OutOfRangeSeedIsRejected)
+{
+    // Past 2^64-1: a saturating parse would make it a valid-looking
+    // seed.
+    EXPECT_EXIT(parseArgs({"--seed", "99999999999999999999"}),
+                testing::ExitedWithCode(1),
+                "--seed expects an unsigned integer");
+}
+
 TEST(ShardArgsDeath, ShardWithoutJournalIsRejected)
 {
     EXPECT_EXIT(parseArgs({"--shard", "2/3"}),

@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the cross-point memo cache (sim/memo_cache.hh): exact
- * keying, the enabled/suspended switches, and the end-to-end
- * guarantee the bench goldens rely on -- cached, uncached and
- * parallel sweeps produce byte-identical reports.
+ * keying, the enabled/suspended switches, the end-to-end guarantee
+ * the bench goldens rely on -- cached, uncached and parallel sweeps
+ * produce byte-identical reports -- and the exact hit counts a user
+ * graph earns across neighboring configs.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -18,9 +20,11 @@
 #include "harness/report_io.hh"
 #include "harness/sweep.hh"
 #include "nn/graph_builder.hh"
+#include "nn/graph_io.hh"
 #include "nn/models.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "serve/simulate.hh"
 #include "sim/memo_cache.hh"
 
 using hpim::sim::MemoCache;
@@ -74,6 +78,51 @@ smallGrid()
         }
     }
     return points;
+}
+
+/** Text of a graph document committed under examples/graphs/. */
+std::string
+committedGraph(const std::string &name)
+{
+    const std::string path =
+        std::string(HPIM_SOURCE_DIR) + "/examples/graphs/" + name;
+    std::ifstream file(path);
+    EXPECT_TRUE(file) << "cannot read " << path;
+    std::stringstream text;
+    text << file.rdbuf();
+    return text.str();
+}
+
+/**
+ * A wide synthetic training graph: 32 independent dense towers merged
+ * pairwise, closed with trainingStep (backward pass + Adam), ~500
+ * lowered ops. The towers are structurally identical, so the per-op
+ * signature tier collapses their profile cost even on the first visit
+ * to a new CPU config.
+ */
+hpim::nn::Graph
+buildWideGraph()
+{
+    hpim::nn::Builder b("bench-wide");
+    std::vector<hpim::nn::TensorRef> towers;
+    for (int tower = 0; tower < 32; ++tower) {
+        hpim::nn::TensorRef x =
+            b.input(hpim::nn::TensorShape({64, 256}));
+        x = b.dense(x, 256);
+        x = b.layerNorm(x);
+        x = b.dense(x, 128);
+        towers.push_back(x);
+    }
+    while (towers.size() > 1) {
+        std::vector<hpim::nn::TensorRef> merged;
+        for (std::size_t i = 0; i + 1 < towers.size(); i += 2)
+            merged.push_back(b.add(towers[i], towers[i + 1]));
+        if (towers.size() % 2 != 0)
+            merged.push_back(towers.back());
+        towers = std::move(merged);
+    }
+    hpim::nn::TensorRef logits = b.dense(towers.front(), 16, false);
+    return b.trainingStep(logits);
 }
 
 } // namespace
@@ -410,5 +459,62 @@ TEST_F(SimCacheTest, UserGraphAppendixIdenticalAcrossCacheModes)
         none.simCache = false;
         EXPECT_EQ(reference, appendix(none))
             << "uncached appendix diverged at --jobs " << jobs;
+    }
+}
+
+TEST_F(SimCacheTest, NeighboringConfigMemoCountsArePinned)
+{
+    // One graph document sent through runSimulate, the daemon's path,
+    // at four neighboring configs (frequency 1.0/0.95 x programmable
+    // PIMs 1/2), twice. Each point looks up the parsed document
+    // (nn.graph.user) and its prepare (rt.prepared). Neither axis
+    // changes the CPU, so only the first point misses both, and its
+    // profile misses once per distinct op shape and partially hits
+    // every repeat. In pass 2 every lookup is a full hit. A change
+    // that recomputes what these tiers keep shows as other counts.
+    struct Counts
+    {
+        std::uint64_t hits, partialHits, misses, insertions;
+    };
+    struct Input
+    {
+        const char *name;
+        std::string document;
+        std::uint32_t steps;
+        Counts afterPass[2];
+    };
+    const Input inputs[] = {
+        {"transformer_train.json",
+         committedGraph("transformer_train.json"), 2,
+         {{6, 35, 37, 37}, {14, 35, 37, 37}}},
+        {"32-tower wide graph",
+         hpim::nn::graphToJson(buildWideGraph()), 1,
+         {{6, 650, 33, 33}, {14, 650, 33, 33}}},
+    };
+    for (const Input &input : inputs) {
+        MemoCache::instance().clear();
+        for (int pass = 0; pass < 2; ++pass) {
+            for (double freq_scale : {1.0, 0.95}) {
+                for (std::uint32_t pims : {1u, 2u}) {
+                    hpim::serve::SimulateSpec spec;
+                    spec.graph = input.document;
+                    spec.system = "hetero";
+                    spec.steps = input.steps;
+                    spec.freqScale = freq_scale;
+                    spec.progrPims = pims;
+                    hpim::serve::runSimulate(spec);
+                }
+            }
+            const MemoCache::Stats got = MemoCache::instance().stats();
+            const Counts &want = input.afterPass[pass];
+            EXPECT_EQ(got.hits, want.hits)
+                << input.name << ", pass " << pass + 1;
+            EXPECT_EQ(got.partialHits, want.partialHits)
+                << input.name << ", pass " << pass + 1;
+            EXPECT_EQ(got.misses, want.misses)
+                << input.name << ", pass " << pass + 1;
+            EXPECT_EQ(got.insertions, want.insertions)
+                << input.name << ", pass " << pass + 1;
+        }
     }
 }
