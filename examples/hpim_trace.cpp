@@ -28,6 +28,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/json.hh"
@@ -92,9 +93,9 @@ loadTrace(const std::string &path)
              "': traceEvents must be an array");
 
     Trace trace;
-    for (const Value &event : events.array) {
-        const std::string &ph = event.at("ph").asString();
-        const std::string &name = event.at("name").asString();
+    for (const Value &event : events.elements()) {
+        const std::string_view ph = event.at("ph").asString();
+        const std::string name(event.at("name").asString());
         std::uint64_t pid = event.at("pid").asUInt64();
         std::uint64_t tid = event.at("tid").asUInt64();
         if (ph == "M") {

@@ -285,13 +285,13 @@ scanJournalRecords(const std::string &path, std::uint64_t points,
                 static_cast<std::size_t>(root.at("index").asUInt64());
             record.pointHash = root.at("point_hash").asUInt64();
             if (!root.find("report"))
-                throw json::Error("record has no report", root.line);
+                throw json::Error("record has no report", root.line());
             if (record.index >= points)
                 throw json::Error("index " + std::to_string(record.index)
                                       + " out of range (grid has "
                                       + std::to_string(points)
                                       + " points)",
-                                  root.line);
+                                  root.line());
         } catch (const std::exception &e) {
             // A complete-looking but unparsable record: everything
             // after it is suspect too, so stop scanning here.

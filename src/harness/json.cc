@@ -1,8 +1,9 @@
 #include "harness/json.hh"
 
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace hpim::harness::json {
 
@@ -22,31 +23,25 @@ kindName(Value::Kind kind)
     return "?";
 }
 
-[[noreturn]] void
-wrongKind(const Value &value, Value::Kind wanted)
-{
-    throw Error(std::string("expected ") + kindName(wanted) + ", got "
-                    + kindName(value.kind),
-                value.line);
-}
+} // namespace
 
-/** Recursive-descent parser over the whole document. */
+/** Recursive-descent parser appending nodes in document order. */
 class Parser
 {
   public:
-    explicit Parser(const std::string &text)
-        : _p(text.data()), _end(text.data() + text.size())
+    Parser(std::string &text, std::vector<Value> &nodes)
+        : _p(text.data()), _end(text.data() + text.size()),
+          _nodes(nodes)
     {
     }
 
-    Value
+    void
     document()
     {
-        Value value = parseValue();
+        parseValue(0);
         skipSpace();
         if (_p != _end)
             fail("trailing characters after document");
-        return value;
     }
 
   private:
@@ -86,7 +81,7 @@ class Parser
     bool
     consumeWord(const char *word)
     {
-        const char *q = _p;
+        char *q = _p;
         for (const char *w = word; *w; ++w, ++q)
             if (q == _end || *q != *w)
                 return false;
@@ -94,124 +89,179 @@ class Parser
         return true;
     }
 
-    Value
-    parseValue()
+    /** Append a node of @p kind starting on the current line. */
+    std::size_t
+    push(Value::Kind kind)
+    {
+        Value &node = _nodes.emplace_back();
+        node._kind = kind;
+        node._line = static_cast<std::uint32_t>(_line);
+        return _nodes.size() - 1;
+    }
+
+    /** Append a node holding the view [@p text, @p text + @p size). */
+    void
+    pushText(Value::Kind kind, std::size_t line, const char *text,
+             std::size_t size)
+    {
+        Value &node = _nodes.emplace_back();
+        node._kind = kind;
+        node._line = static_cast<std::uint32_t>(line);
+        node._text = text;
+        node._size = static_cast<std::uint32_t>(size);
+    }
+
+    /** Append a container node, refusing to nest past maxDepth. */
+    std::size_t
+    open(Value::Kind kind, std::size_t depth)
+    {
+        if (depth >= maxDepth)
+            fail("nesting deeper than " + std::to_string(maxDepth)
+                 + " levels");
+        return push(kind);
+    }
+
+    void
+    close(std::size_t self, std::uint32_t count)
+    {
+        _nodes[self]._size = count;
+        _nodes[self]._span =
+            static_cast<std::uint32_t>(_nodes.size() - self);
+    }
+
+    /** Parse one value nested inside @p depth containers. */
+    void
+    parseValue(std::size_t depth)
     {
         skipSpace();
-        Value value;
-        value.line = _line;
         switch (peek()) {
-          case '{': parseObject(value); break;
-          case '[': parseArray(value); break;
-          case '"':
-            value.kind = Value::Kind::String;
-            value.string = parseString();
+          case '{': parseObject(depth); break;
+          case '[': parseArray(depth); break;
+          case '"': {
+            const std::size_t line = _line;
+            auto [text, size] = parseString();
+            pushText(Value::Kind::String, line, text, size);
             break;
+          }
           case 't':
             if (!consumeWord("true"))
                 fail("bad literal");
-            value.kind = Value::Kind::Bool;
-            value.boolean = true;
+            _nodes[push(Value::Kind::Bool)]._boolean = true;
             break;
           case 'f':
             if (!consumeWord("false"))
                 fail("bad literal");
-            value.kind = Value::Kind::Bool;
-            value.boolean = false;
+            push(Value::Kind::Bool);
             break;
           case 'n':
             if (!consumeWord("null"))
                 fail("bad literal");
-            value.kind = Value::Kind::Null;
+            push(Value::Kind::Null);
             break;
-          default:
-            value.kind = Value::Kind::Number;
-            value.number = parseNumber();
+          default: {
+            const char *start = _p;
+            parseNumber();
+            pushText(Value::Kind::Number, _line, start,
+                     static_cast<std::size_t>(_p - start));
             break;
+          }
         }
-        return value;
     }
 
     void
-    parseObject(Value &value)
+    parseObject(std::size_t depth)
     {
-        value.kind = Value::Kind::Object;
+        const std::size_t self = open(Value::Kind::Object, depth);
         expect('{');
         skipSpace();
+        std::uint32_t count = 0;
         if (peek() == '}') {
             ++_p;
+            close(self, count);
             return;
         }
         for (;;) {
             skipSpace();
             if (peek() != '"')
                 fail("expected object key string");
-            std::string key = parseString();
+            const std::size_t line = _line;
+            auto [key, size] = parseString();
+            pushText(Value::Kind::String, line, key, size);
             skipSpace();
             expect(':');
-            value.object.emplace_back(std::move(key), parseValue());
+            parseValue(depth + 1);
+            ++count;
             skipSpace();
             char c = peek();
             ++_p;
             if (c == '}')
-                return;
+                break;
             if (c != ',')
                 fail("expected ',' or '}' in object");
         }
+        close(self, count);
     }
 
     void
-    parseArray(Value &value)
+    parseArray(std::size_t depth)
     {
-        value.kind = Value::Kind::Array;
+        const std::size_t self = open(Value::Kind::Array, depth);
         expect('[');
         skipSpace();
+        std::uint32_t count = 0;
         if (peek() == ']') {
             ++_p;
+            close(self, count);
             return;
         }
         for (;;) {
-            value.array.push_back(parseValue());
+            parseValue(depth + 1);
+            ++count;
             skipSpace();
             char c = peek();
             ++_p;
             if (c == ']')
-                return;
+                break;
             if (c != ',')
                 fail("expected ',' or ']' in array");
         }
+        close(self, count);
     }
 
-    std::string
+    /** Decode the string at _p in place; @return its bytes. */
+    std::pair<const char *, std::size_t>
     parseString()
     {
         expect('"');
-        std::string out;
+        char *const start = _p;
+        while (_p != _end && *_p != '"' && *_p != '\\' && *_p != '\n')
+            ++_p;
+        char *out = _p;
         for (;;) {
             if (_p == _end)
                 fail("unterminated string");
             char c = *_p++;
             if (c == '"')
-                return out;
+                return {start, static_cast<std::size_t>(out - start)};
             if (c == '\n')
                 fail("raw newline in string");
             if (c != '\\') {
-                out.push_back(c);
+                *out++ = c;
                 continue;
             }
             if (_p == _end)
                 fail("unterminated escape");
             char e = *_p++;
             switch (e) {
-              case '"': out.push_back('"'); break;
-              case '\\': out.push_back('\\'); break;
-              case '/': out.push_back('/'); break;
-              case 'b': out.push_back('\b'); break;
-              case 'f': out.push_back('\f'); break;
-              case 'n': out.push_back('\n'); break;
-              case 'r': out.push_back('\r'); break;
-              case 't': out.push_back('\t'); break;
-              case 'u': appendCodepoint(out, parseHex4()); break;
+              case '"': *out++ = '"'; break;
+              case '\\': *out++ = '\\'; break;
+              case '/': *out++ = '/'; break;
+              case 'b': *out++ = '\b'; break;
+              case 'f': *out++ = '\f'; break;
+              case 'n': *out++ = '\n'; break;
+              case 'r': *out++ = '\r'; break;
+              case 't': *out++ = '\t'; break;
+              case 'u': out = appendCodepoint(out, parseHex4()); break;
               default: fail("unknown escape");
             }
         }
@@ -238,25 +288,28 @@ class Parser
         return value;
     }
 
-    static void
-    appendCodepoint(std::string &out, unsigned cp)
+    /** UTF-8 of @p cp: at most 3 bytes, never more than the 6-byte
+     *  escape it replaces. */
+    static char *
+    appendCodepoint(char *out, unsigned cp)
     {
         if (cp < 0x80) {
-            out.push_back(char(cp));
+            *out++ = char(cp);
         } else if (cp < 0x800) {
-            out.push_back(char(0xc0 | (cp >> 6)));
-            out.push_back(char(0x80 | (cp & 0x3f)));
+            *out++ = char(0xc0 | (cp >> 6));
+            *out++ = char(0x80 | (cp & 0x3f));
         } else {
-            out.push_back(char(0xe0 | (cp >> 12)));
-            out.push_back(char(0x80 | ((cp >> 6) & 0x3f)));
-            out.push_back(char(0x80 | (cp & 0x3f)));
+            *out++ = char(0xe0 | (cp >> 12));
+            *out++ = char(0x80 | ((cp >> 6) & 0x3f));
+            *out++ = char(0x80 | (cp & 0x3f));
         }
+        return out;
     }
 
-    std::string
+    /** Step over a numeric token; conversion happens on request. */
+    void
     parseNumber()
     {
-        const char *start = _p;
         if (_p != _end && *_p == '-')
             ++_p;
         bool digits = false;
@@ -278,103 +331,185 @@ class Parser
         }
         if (!digits)
             fail("expected a value");
-        return std::string(start, _p);
     }
 
-    const char *_p;
-    const char *_end;
+    char *_p;
+    char *_end;
+    std::vector<Value> &_nodes;
     std::size_t _line = 1;
 };
 
-} // namespace
+Value::Value(Value &&other) noexcept
+    : _text(other._text), _size(other._size), _span(other._span),
+      _line(other._line), _kind(other._kind),
+      _boolean(other._boolean), _document(std::move(other._document))
+{
+    other._kind = Kind::Null;
+    other._size = 0;
+    other._span = 1;
+}
+
+Value &
+Value::operator=(Value &&other) noexcept
+{
+    _text = other._text;
+    _size = other._size;
+    _span = other._span;
+    _line = other._line;
+    _kind = other._kind;
+    _boolean = other._boolean;
+    _document = std::move(other._document);
+    other._kind = Kind::Null;
+    other._size = 0;
+    other._span = 1;
+    return *this;
+}
+
+Value::~Value() = default;
+
+void
+Value::requireKind(Kind wanted) const
+{
+    if (_kind != wanted)
+        throw Error(std::string("expected ") + kindName(wanted)
+                        + ", got " + kindName(_kind),
+                    _line);
+}
 
 bool
 Value::asBool() const
 {
-    if (kind != Kind::Bool)
-        wrongKind(*this, Kind::Bool);
-    return boolean;
+    requireKind(Kind::Bool);
+    return _boolean;
 }
 
-const std::string &
+std::string_view
 Value::asString() const
 {
-    if (kind != Kind::String)
-        wrongKind(*this, Kind::String);
-    return string;
+    requireKind(Kind::String);
+    return {_text, _size};
+}
+
+std::string_view
+Value::numberText() const
+{
+    requireKind(Kind::Number);
+    return {_text, _size};
 }
 
 double
 Value::asDouble() const
 {
-    if (kind != Kind::Number)
-        wrongKind(*this, Kind::Number);
-    errno = 0;
-    char *end = nullptr;
-    double value = std::strtod(number.c_str(), &end);
-    if (end != number.c_str() + number.size())
-        throw Error("malformed number '" + number + "'", line);
+    const std::string_view token = numberText();
+    const char *const end = token.data() + token.size();
+    double value = 0.0;
+    auto [stop, ec] = std::from_chars(token.data(), end, value);
+    if (stop != end
+        || (ec != std::errc() && ec != std::errc::result_out_of_range))
+        throw Error("malformed number '" + std::string(token) + "'",
+                    _line);
+    // Out of range: strtod saturates to +-inf or rounds to 0 / a
+    // subnormal, which is what the loaders' checks expect.
+    if (ec == std::errc::result_out_of_range)
+        value = std::strtod(std::string(token).c_str(), nullptr);
     return value;
 }
 
 std::int64_t
 Value::asInt64() const
 {
-    if (kind != Kind::Number)
-        wrongKind(*this, Kind::Number);
-    errno = 0;
-    char *end = nullptr;
-    long long value = std::strtoll(number.c_str(), &end, 10);
-    if (end != number.c_str() + number.size() || errno == ERANGE)
-        throw Error("expected an integer, got '" + number + "'", line);
+    const std::string_view token = numberText();
+    const char *const end = token.data() + token.size();
+    std::int64_t value = 0;
+    auto [stop, ec] = std::from_chars(token.data(), end, value);
+    if (stop != end || ec != std::errc())
+        throw Error("expected an integer, got '" + std::string(token)
+                        + "'",
+                    _line);
     return value;
 }
 
 std::uint64_t
 Value::asUInt64() const
 {
-    if (kind != Kind::Number)
-        wrongKind(*this, Kind::Number);
-    if (!number.empty() && number[0] == '-')
-        throw Error("expected a non-negative integer, got '" + number
+    const std::string_view token = numberText();
+    if (token.front() == '-')
+        throw Error("expected a non-negative integer, got '"
+                        + std::string(token) + "'",
+                    _line);
+    const char *const end = token.data() + token.size();
+    std::uint64_t value = 0;
+    auto [stop, ec] = std::from_chars(token.data(), end, value);
+    if (stop != end || ec != std::errc())
+        throw Error("expected an integer, got '" + std::string(token)
                         + "'",
-                    line);
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(number.c_str(), &end, 10);
-    if (end != number.c_str() + number.size() || errno == ERANGE)
-        throw Error("expected an integer, got '" + number + "'", line);
+                    _line);
     return value;
 }
 
-const Value *
-Value::find(const std::string &key) const
+std::size_t
+Value::size() const
 {
-    if (kind != Kind::Object)
-        wrongKind(*this, Kind::Object);
-    for (const auto &[name, value] : object)
+    if (_kind != Kind::Array && _kind != Kind::Object)
+        throw Error(std::string("expected array or object, got ")
+                        + kindName(_kind),
+                    _line);
+    return _size;
+}
+
+const Value &
+Value::operator[](std::size_t index) const
+{
+    requireKind(Kind::Array);
+    if (index >= _size)
+        throw Error("index " + std::to_string(index) + " out of range",
+                    _line);
+    const Value *node = children();
+    for (; index > 0; --index)
+        node += node->_span;
+    return *node;
+}
+
+const Value *
+Value::find(std::string_view key) const
+{
+    for (const auto &[name, value] : members())
         if (name == key)
             return &value;
     return nullptr;
 }
 
 const Value &
-Value::at(const std::string &key) const
+Value::at(std::string_view key) const
 {
     const Value *value = find(key);
     if (!value)
-        throw Error("missing key '" + key + "'", line);
+        throw Error("missing key '" + std::string(key) + "'", _line);
     return *value;
 }
 
 Value
-parse(const std::string &text)
+parse(std::string_view text)
 {
-    return Parser(text).document();
+    // Views, counts and lines are 32-bit.
+    if (text.size() >= std::numeric_limits<std::uint32_t>::max())
+        throw Error("document of 4 GiB or more", 1);
+    auto document = std::make_unique<Value::Document>();
+    document->text.assign(text);
+    // About one node per 8 bytes of a graph document; denser text
+    // grows the array.
+    document->nodes.reserve(text.size() / 8 + 4);
+    Parser(document->text, document->nodes).document();
+
+    // The root takes over the first node; navigation starts at the
+    // second, so the emptied slot is never read.
+    Value root(std::move(document->nodes.front()));
+    root._document = std::move(document);
+    return root;
 }
 
 void
-escape(std::string &out, const std::string &text)
+escape(std::string &out, std::string_view text)
 {
     for (char c : text) {
         switch (c) {

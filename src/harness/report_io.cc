@@ -54,25 +54,27 @@ class ObjectReader
     explicit ObjectReader(const json::Value &value) : _value(value)
     {
         if (!value.isObject())
-            throw ParseError("expected a JSON object", value.line);
-        _used.assign(value.object.size(), false);
+            throw ParseError("expected a JSON object", value.line());
+        _used.assign(value.size(), false);
     }
 
     const json::Value &
     get(const char *key)
     {
         const json::Value *found = nullptr;
-        for (std::size_t i = 0; i < _value.object.size(); ++i) {
-            if (_value.object[i].first != key)
-                continue;
-            if (found)
-                throw ParseError("duplicate field",
-                                 _value.object[i].second.line, key);
-            found = &_value.object[i].second;
-            _used[i] = true;
+        std::size_t i = 0;
+        for (const auto &[name, value] : _value.members()) {
+            if (name == key) {
+                if (found)
+                    throw ParseError("duplicate field", value.line(),
+                                     key);
+                found = &value;
+                _used[i] = true;
+            }
+            ++i;
         }
         if (!found)
-            throw ParseError("missing field", _value.line, key);
+            throw ParseError("missing field", _value.line(), key);
         return *found;
     }
 
@@ -93,7 +95,7 @@ class ObjectReader
     {
         std::uint64_t value = get(key).asUInt64();
         if (value > std::numeric_limits<std::uint32_t>::max())
-            throw ParseError("value out of 32-bit range", _value.line,
+            throw ParseError("value out of 32-bit range", _value.line(),
                              key);
         return static_cast<std::uint32_t>(value);
     }
@@ -101,18 +103,18 @@ class ObjectReader
     std::string
     str(const char *key)
     {
-        return get(key).asString();
+        return std::string(get(key).asString());
     }
 
     /** Every field must have been consumed. */
     void
     finish() const
     {
-        for (std::size_t i = 0; i < _value.object.size(); ++i)
-            if (!_used[i])
-                throw ParseError("unknown field",
-                                 _value.object[i].second.line,
-                                 _value.object[i].first);
+        std::size_t i = 0;
+        for (const auto &[name, value] : _value.members())
+            if (!_used[i++])
+                throw ParseError("unknown field", value.line(),
+                                 std::string(name));
     }
 
   private:
@@ -332,7 +334,7 @@ reportFromJson(const json::Value &root)
                              + std::to_string(version) + " (expected "
                              + std::to_string(reportSchemaVersion)
                              + ")",
-                         root.line, "schema_version");
+                         root.line(), "schema_version");
 
     ExecutionReport report;
     report.configName = top.str("config");
@@ -379,16 +381,17 @@ reportFromJson(const json::Value &root)
 
     const json::Value &placements = top.get("placements");
     if (!placements.isObject())
-        throw ParseError("expected an object", placements.line,
+        throw ParseError("expected an object", placements.line(),
                          "placements");
-    for (const auto &[name, count] : placements.object) {
+    for (const auto &[key, count] : placements.members()) {
+        const std::string name(key);
         rt::PlacedOn placement;
         if (!placedOnFromName(name, placement))
             throw ParseError("unknown placement '" + name + "'",
-                             count.line, "placements");
+                             count.line(), "placements");
         if (report.opsByPlacement.count(placement))
             throw ParseError("duplicate placement '" + name + "'",
-                             count.line, "placements");
+                             count.line(), "placements");
         report.opsByPlacement[placement] = count.asUInt64();
     }
 
@@ -404,17 +407,17 @@ reportFromJson(const json::Value &root)
     report.throttleEvents = resilience.u64("throttle_events");
     const json::Value &timeline = resilience.get("capacity_timeline");
     if (!timeline.isArray())
-        throw ParseError("expected an array", timeline.line,
+        throw ParseError("expected an array", timeline.line(),
                          "capacity_timeline");
-    for (const json::Value &sample : timeline.array) {
-        if (!sample.isArray() || sample.array.size() != 2)
+    for (const json::Value &sample : timeline.elements()) {
+        if (!sample.isArray() || sample.size() != 2)
             throw ParseError("expected a [time, units] pair",
-                             sample.line, "capacity_timeline");
+                             sample.line(), "capacity_timeline");
         ExecutionReport::CapacitySample cs;
-        cs.timeSec = sample.array[0].asDouble();
-        std::uint64_t units = sample.array[1].asUInt64();
+        cs.timeSec = sample[0].asDouble();
+        std::uint64_t units = sample[1].asUInt64();
         if (units > std::numeric_limits<std::uint32_t>::max())
-            throw ParseError("units out of 32-bit range", sample.line,
+            throw ParseError("units out of 32-bit range", sample.line(),
                              "capacity_timeline");
         cs.units = static_cast<std::uint32_t>(units);
         report.capacityTimeline.push_back(cs);
@@ -423,8 +426,8 @@ reportFromJson(const json::Value &root)
 
     const json::Value &metrics = top.get("metrics");
     if (!metrics.isArray())
-        throw ParseError("expected an array", metrics.line, "metrics");
-    for (const json::Value &entry : metrics.array) {
+        throw ParseError("expected an array", metrics.line(), "metrics");
+    for (const json::Value &entry : metrics.elements()) {
         ObjectReader metric(entry);
         obs::MetricSample sample;
         sample.name = metric.str("name");
@@ -443,24 +446,24 @@ reportFromJson(const json::Value &root)
             sample.max = metric.number("max");
             const json::Value &buckets = metric.get("buckets");
             if (!buckets.isArray())
-                throw ParseError("expected an array", buckets.line,
+                throw ParseError("expected an array", buckets.line(),
                                  "buckets");
-            for (const json::Value &bucket : buckets.array) {
-                if (!bucket.isArray() || bucket.array.size() != 2)
+            for (const json::Value &bucket : buckets.elements()) {
+                if (!bucket.isArray() || bucket.size() != 2)
                     throw ParseError("expected an [index, count] pair",
-                                     bucket.line, "buckets");
+                                     bucket.line(), "buckets");
                 obs::HistogramBucket hb;
-                std::uint64_t index = bucket.array[0].asUInt64();
+                std::uint64_t index = bucket[0].asUInt64();
                 if (index >= obs::kHistogramBuckets)
                     throw ParseError("bucket index out of range",
-                                     bucket.line, "buckets");
+                                     bucket.line(), "buckets");
                 hb.index = static_cast<std::uint32_t>(index);
-                hb.count = bucket.array[1].asUInt64();
+                hb.count = bucket[1].asUInt64();
                 sample.buckets.push_back(hb);
             }
         } else {
             throw ParseError("unknown metric kind '" + kind + "'",
-                             entry.line, "kind");
+                             entry.line(), "kind");
         }
         metric.finish();
         report.metrics.push_back(std::move(sample));

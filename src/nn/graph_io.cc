@@ -5,6 +5,7 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "harness/json.hh"
 #include "harness/json_writer.hh"
@@ -15,152 +16,202 @@ namespace {
 
 using harness::json::Value;
 
-/** The field names of one serialized op, in emission order. */
-constexpr const char *kOpFields[] = {
-    "type",       "label",          "muls",
-    "adds",       "specials",       "bytes_read",
-    "bytes_written", "units_per_lane", "lanes",
+/** The fields of one serialized op, in emission order. */
+enum OpField : std::size_t {
+    Type, Label, Muls, Adds, Specials, BytesRead, BytesWritten,
+    UnitsPerLane, Lanes, Inputs, OpFieldCount
 };
 
+constexpr std::string_view kOpFields[OpFieldCount] = {
+    "type",       "label",         "muls",           "adds",
+    "specials",   "bytes_read",    "bytes_written",  "units_per_lane",
+    "lanes",      "inputs",
+};
+
+enum RootField : std::size_t { SchemaVersion, Name, Ops, RootFieldCount };
+
+constexpr std::string_view kRootFields[RootFieldCount] = {
+    "schema_version", "name", "ops",
+};
+
+/** The op index fieldPath() takes for a root field. */
+constexpr std::size_t kRoot = static_cast<std::size_t>(-1);
+
+/**
+ * The path naming field @p name of op @p op ("ops[3].lanes"), or of the
+ * root. Built only when throwing, so a valid document allocates no
+ * path strings.
+ */
 std::string
-opField(std::size_t index, const char *name)
+fieldPath(std::size_t op, std::string_view name)
 {
-    return "ops[" + std::to_string(index) + "]." + name;
+    if (op == kRoot)
+        return std::string(name);
+    return "ops[" + std::to_string(op) + "]." + std::string(name);
 }
 
-/** Reject duplicate and unknown keys; require the known set. */
+/**
+ * Point slots[k] at the entry named names[k], in one pass. Unknown and
+ * duplicate keys are rejected in the order a pairwise scan finds them:
+ * the earliest entry that is unknown or repeated later wins, and a
+ * duplicate is reported at its first repeat.
+ */
+template <std::size_t N>
 void
-checkObjectKeys(const Value &object, std::size_t index, bool is_op)
+collectFields(const Value &object, const std::string_view (&names)[N],
+              const Value *(&slots)[N], std::size_t op)
 {
-    auto known = [&](const std::string &key) {
-        if (!is_op)
-            return key == "schema_version" || key == "name"
-                   || key == "ops";
-        if (key == "inputs")
-            return true;
-        for (const char *name : kOpFields)
-            if (key == name)
-                return true;
-        return false;
-    };
-    auto path = [&](const std::string &key) {
-        return is_op ? opField(index, key.c_str()) : key;
-    };
-    for (std::size_t i = 0; i < object.object.size(); ++i) {
-        const std::string &key = object.object[i].first;
-        if (!known(key))
-            throw GraphParseError("unknown field",
-                                  object.object[i].second.line,
-                                  path(key));
-        for (std::size_t j = i + 1; j < object.object.size(); ++j)
-            if (object.object[j].first == key)
-                throw GraphParseError("duplicate field",
-                                      object.object[j].second.line,
-                                      path(key));
+    std::size_t first[N] = {};
+    bool repeated[N] = {};
+    std::size_t bad_rank = kRoot;
+    bool bad_unknown = false;
+    std::string_view bad_key;
+    const Value *bad_value = nullptr;
+    std::size_t pos = 0;
+    for (const auto &[key, value] : object.members()) {
+        // Saved documents list the fields in this order.
+        std::size_t k = pos < N && key == names[pos] ? pos : 0;
+        while (k < N && key != names[k])
+            ++k;
+        if (k == N) {
+            if (pos < bad_rank) {
+                bad_rank = pos;
+                bad_unknown = true;
+                bad_key = key;
+                bad_value = &value;
+            }
+        } else if (!slots[k]) {
+            slots[k] = &value;
+            first[k] = pos;
+        } else if (!repeated[k]) {
+            repeated[k] = true;
+            if (first[k] < bad_rank) {
+                bad_rank = first[k];
+                bad_unknown = false;
+                bad_key = key;
+                bad_value = &value;
+            }
+        }
+        ++pos;
     }
+    if (bad_value)
+        throw GraphParseError(bad_unknown ? "unknown field"
+                                          : "duplicate field",
+                              bad_value->line(), fieldPath(op, bad_key));
 }
 
 const Value &
-requireField(const Value &object, const std::string &key,
-             const std::string &path)
+requireField(const Value *field, const Value &object, std::size_t op,
+             std::string_view name)
 {
-    const Value *found = object.find(key);
-    if (!found)
-        throw GraphParseError("missing field", object.line, path);
-    return *found;
+    if (!field)
+        throw GraphParseError("missing field", object.line(),
+                              fieldPath(op, name));
+    return *field;
 }
 
 double
-parseCost(const Value &object, std::size_t index, const char *name)
+parseCost(const Value &object, const Value *const (&fields)[OpFieldCount],
+          std::size_t op, OpField slot)
 {
-    std::string path = opField(index, name);
-    const Value &field = requireField(object, name, path);
+    const std::string_view name = kOpFields[slot];
+    const Value &field = requireField(fields[slot], object, op, name);
     if (!field.isNumber())
-        throw GraphParseError("expected a number", field.line, path);
-    double value = field.asDouble();
+        throw GraphParseError("expected a number", field.line(),
+                              fieldPath(op, name));
+    double value;
+    try {
+        value = field.asDouble();
+    } catch (const harness::json::Error &) {
+        throw GraphParseError("malformed number '"
+                                  + std::string(field.numberText())
+                                  + "'",
+                              field.line(), fieldPath(op, name));
+    }
     if (!std::isfinite(value))
-        throw GraphParseError("expected a finite number", field.line,
-                              path);
+        throw GraphParseError("expected a finite number", field.line(),
+                              fieldPath(op, name));
     if (value < 0.0)
         throw GraphParseError("expected a non-negative number",
-                              field.line, path);
+                              field.line(), fieldPath(op, name));
     return value;
 }
 
-Operation
-parseOp(const Value &node, std::size_t index)
+/** Validate op @p index and append it to @p graph. */
+void
+addOp(Graph &graph, const Value &node, std::size_t index)
 {
     if (!node.isObject())
-        throw GraphParseError("expected an object", node.line,
+        throw GraphParseError("expected an object", node.line(),
                               "ops[" + std::to_string(index) + "]");
-    checkObjectKeys(node, index, /*is_op=*/true);
+    const Value *fields[OpFieldCount] = {};
+    collectFields(node, kOpFields, fields, index);
+    auto path = [index](OpField slot) {
+        return fieldPath(index, kOpFields[slot]);
+    };
+    auto require = [&](OpField slot) -> const Value & {
+        return requireField(fields[slot], node, index, kOpFields[slot]);
+    };
 
-    Operation op;
-
-    std::string type_path = opField(index, "type");
-    const Value &type = requireField(node, "type", type_path);
+    const Value &type = require(Type);
     if (!type.isString())
-        throw GraphParseError("expected a string", type.line,
-                              type_path);
+        throw GraphParseError("expected a string", type.line(),
+                              path(Type));
     auto resolved = opTypeFromName(type.asString());
     if (!resolved)
-        throw GraphParseError("unknown op type '" + type.asString()
-                                  + "'",
-                              type.line, type_path);
-    op.type = *resolved;
+        throw GraphParseError("unknown op type '"
+                                  + std::string(type.asString()) + "'",
+                              type.line(), path(Type));
 
-    std::string label_path = opField(index, "label");
-    const Value &label = requireField(node, "label", label_path);
+    const Value &label = require(Label);
     if (!label.isString())
-        throw GraphParseError("expected a string", label.line,
-                              label_path);
+        throw GraphParseError("expected a string", label.line(),
+                              path(Label));
     if (label.asString().empty())
-        throw GraphParseError("expected a non-empty label", label.line,
-                              label_path);
-    op.label = label.asString();
+        throw GraphParseError("expected a non-empty label", label.line(),
+                              path(Label));
 
-    op.cost.muls = parseCost(node, index, "muls");
-    op.cost.adds = parseCost(node, index, "adds");
-    op.cost.specials = parseCost(node, index, "specials");
-    op.cost.bytesRead = parseCost(node, index, "bytes_read");
-    op.cost.bytesWritten = parseCost(node, index, "bytes_written");
+    CostStructure cost;
+    cost.muls = parseCost(node, fields, index, Muls);
+    cost.adds = parseCost(node, fields, index, Adds);
+    cost.specials = parseCost(node, fields, index, Specials);
+    cost.bytesRead = parseCost(node, fields, index, BytesRead);
+    cost.bytesWritten = parseCost(node, fields, index, BytesWritten);
 
-    std::string units_path = opField(index, "units_per_lane");
-    const Value &units = requireField(node, "units_per_lane",
-                                      units_path);
+    const Value &units = require(UnitsPerLane);
     if (!units.isNumber())
-        throw GraphParseError("expected a number", units.line,
-                              units_path);
+        throw GraphParseError("expected a number", units.line(),
+                              path(UnitsPerLane));
     std::uint64_t units_value;
     try {
         units_value = units.asUInt64();
     } catch (const harness::json::Error &) {
         throw GraphParseError("expected a non-negative integer",
-                              units.line, units_path);
+                              units.line(), path(UnitsPerLane));
     }
     if (units_value > std::numeric_limits<std::uint32_t>::max())
-        throw GraphParseError("value out of 32-bit range", units.line,
-                              units_path);
-    op.parallelism.unitsPerLane =
-        static_cast<std::uint32_t>(units_value);
+        throw GraphParseError("value out of 32-bit range", units.line(),
+                              path(UnitsPerLane));
+    FixedParallelism parallelism;
+    parallelism.unitsPerLane = static_cast<std::uint32_t>(units_value);
+    parallelism.lanes = parseCost(node, fields, index, Lanes);
 
-    op.parallelism.lanes = parseCost(node, index, "lanes");
-
-    std::string inputs_path = opField(index, "inputs");
-    const Value &inputs = requireField(node, "inputs", inputs_path);
+    const Value &inputs = require(Inputs);
     if (!inputs.isArray())
-        throw GraphParseError("expected an array", inputs.line,
-                              inputs_path);
-    for (const Value &dep : inputs.array) {
+        throw GraphParseError("expected an array", inputs.line(),
+                              path(Inputs));
+    std::vector<OpId> deps;
+    deps.reserve(inputs.size());
+    for (const Value &dep : inputs.elements()) {
         if (!dep.isNumber())
-            throw GraphParseError("expected an op index", dep.line,
-                                  inputs_path);
+            throw GraphParseError("expected an op index", dep.line(),
+                                  path(Inputs));
         std::uint64_t dep_value;
         try {
             dep_value = dep.asUInt64();
         } catch (const harness::json::Error &) {
             throw GraphParseError("expected a non-negative op index",
-                                  dep.line, inputs_path);
+                                  dep.line(), path(Inputs));
         }
         if (dep_value >= index)
             throw GraphParseError(
@@ -168,10 +219,11 @@ parseOp(const Value &node, std::size_t index)
                     + " does not precede op "
                     + std::to_string(index)
                     + " (ops must be topologically ordered)",
-                dep.line, inputs_path);
-        op.inputs.push_back(static_cast<OpId>(dep_value));
+                dep.line(), path(Inputs));
+        deps.push_back(static_cast<OpId>(dep_value));
     }
-    return op;
+    graph.add(*resolved, std::string(label.asString()), cost,
+              parallelism, std::move(deps));
 }
 
 } // namespace
@@ -225,16 +277,17 @@ loadGraph(const std::string &text)
     }
 
     if (!root.isObject())
-        throw GraphParseError("expected a graph object", root.line);
-    checkObjectKeys(root, 0, /*is_op=*/false);
+        throw GraphParseError("expected a graph object", root.line());
+    const Value *fields[RootFieldCount] = {};
+    collectFields(root, kRootFields, fields, kRoot);
 
-    const Value &version = requireField(root, "schema_version",
-                                        "schema_version");
+    const Value &version = requireField(fields[SchemaVersion], root,
+                                        kRoot, "schema_version");
     std::int64_t version_value;
     try {
         version_value = version.asInt64();
     } catch (const harness::json::Error &) {
-        throw GraphParseError("expected an integer", version.line,
+        throw GraphParseError("expected an integer", version.line(),
                               "schema_version");
     }
     if (version_value != graphSchemaVersion)
@@ -242,30 +295,28 @@ loadGraph(const std::string &text)
             "unsupported schema version "
                 + std::to_string(version_value) + " (expected "
                 + std::to_string(graphSchemaVersion) + ")",
-            version.line, "schema_version");
+            version.line(), "schema_version");
 
-    const Value &name = requireField(root, "name", "name");
+    const Value &name = requireField(fields[Name], root, kRoot, "name");
     if (!name.isString())
-        throw GraphParseError("expected a string", name.line, "name");
+        throw GraphParseError("expected a string", name.line(), "name");
     if (name.asString().empty())
         throw GraphParseError("expected a non-empty graph name",
-                              name.line, "name");
+                              name.line(), "name");
 
-    const Value &ops = requireField(root, "ops", "ops");
+    const Value &ops = requireField(fields[Ops], root, kRoot, "ops");
     if (!ops.isArray())
-        throw GraphParseError("expected an array", ops.line, "ops");
-    if (ops.array.empty())
-        throw GraphParseError("expected at least one op", ops.line,
+        throw GraphParseError("expected an array", ops.line(), "ops");
+    if (ops.size() == 0)
+        throw GraphParseError("expected at least one op", ops.line(),
                               "ops");
-    if (ops.array.size() >= static_cast<std::size_t>(invalidOp))
-        throw GraphParseError("too many ops", ops.line, "ops");
+    if (ops.size() >= static_cast<std::size_t>(invalidOp))
+        throw GraphParseError("too many ops", ops.line(), "ops");
 
-    Graph graph(name.asString());
-    for (std::size_t i = 0; i < ops.array.size(); ++i) {
-        Operation op = parseOp(ops.array[i], i);
-        graph.add(op.type, std::move(op.label), op.cost,
-                  op.parallelism, std::move(op.inputs));
-    }
+    Graph graph{std::string(name.asString())};
+    std::size_t index = 0;
+    for (const Value &op : ops.elements())
+        addOp(graph, op, index++);
     return graph;
 }
 

@@ -21,11 +21,12 @@
  * the invariant Graph::add enforces.
  *
  * The loader is strict in the report_io tradition: every field must
- * appear exactly once, unknown fields, bad types, non-finite or
- * negative costs, forward/self references and unknown op names are
- * all rejected with a typed GraphParseError carrying the 1-based
- * source line and the offending field -- never an abort, because the
- * input is a user file, not program state. Writing goes through the
+ * appear exactly once, unknown fields, bad types, malformed,
+ * non-finite or negative costs, forward/self references, unknown op
+ * names and nesting past json::maxDepth are all rejected with a typed
+ * GraphParseError carrying the 1-based source line and the offending
+ * field -- never an abort, because the input is a user file, not
+ * program state. Field paths are built only when throwing. Writing goes through the
  * shared json::Writer (compact, %.17g lossless doubles), so a
  * load -> save cycle of a saved document is byte-identical, and
  * reconstruction replays Graph::add in document order, so the loaded

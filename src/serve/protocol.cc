@@ -218,18 +218,19 @@ sim::Config
 configFromJsonObject(const json::Value &object)
 {
     sim::Config config;
-    for (const auto &[key, value] : object.object) {
+    for (const auto &[name, value] : object.members()) {
         // fault_seed is a full-range uint64: it neither fits
         // Config's int64 storage nor survives a double round-trip,
         // so parseSimulateSpec extracts it exactly via asUInt64.
-        if (key == "fault_seed")
+        if (name == "fault_seed")
             continue;
-        switch (value.kind) {
+        const std::string key(name);
+        switch (value.kind()) {
           case json::Value::Kind::Bool:
             config.set(key, value.asBool());
             break;
           case json::Value::Kind::String:
-            config.set(key, value.asString());
+            config.set(key, std::string(value.asString()));
             break;
           case json::Value::Kind::Number:
             try {
@@ -282,7 +283,7 @@ parseSimulateSpec(const json::Value &object)
         } catch (const json::Error &) {
             throw ProtocolError(
                 "sim field 'fault_seed' must be an unsigned 64-bit "
-                "integer, got " + seed->number);
+                "integer, got " + std::string(seed->numberText()));
         }
     }
 
@@ -381,20 +382,21 @@ parseRequest(const std::string &payload)
     bool saw_v = false, saw_id = false, saw_kind = false;
     const json::Value *sim_object = nullptr;
     try {
-        for (const auto &[key, value] : root.object) {
+        for (const auto &[key, value] : root.members()) {
             if (key == "v") {
                 saw_v = true;
                 if (value.asInt64() != protocolVersion)
                     throw ProtocolError(
                         "unsupported protocol version "
-                        + value.number + " (this daemon speaks v"
+                        + std::string(value.numberText())
+                        + " (this daemon speaks v"
                         + std::to_string(protocolVersion) + ")");
             } else if (key == "id") {
                 saw_id = true;
                 request.id = value.asUInt64();
             } else if (key == "kind") {
                 saw_kind = true;
-                const std::string &kind = value.asString();
+                const std::string_view kind = value.asString();
                 if (kind == "ping")
                     request.kind = RequestKind::Ping;
                 else if (kind == "stats")
@@ -403,7 +405,7 @@ parseRequest(const std::string &payload)
                     request.kind = RequestKind::Simulate;
                 else
                     throw ProtocolError("unknown request kind '"
-                                        + kind + "'");
+                                        + std::string(kind) + "'");
             } else if (key == "deadline_ms") {
                 request.deadlineMs = value.asDouble();
                 if (!(request.deadlineMs >= 0.0)
@@ -415,25 +417,28 @@ parseRequest(const std::string &payload)
                     throw ProtocolError("'sim' must be an object");
                 sim_object = &value;
             } else {
-                throw ProtocolError("unknown request field '" + key
-                                    + "'");
+                throw ProtocolError("unknown request field '"
+                                    + std::string(key) + "'");
             }
         }
+        if (!saw_v)
+            throw ProtocolError("request is missing 'v'");
+        if (!saw_id)
+            throw ProtocolError("request is missing 'id'");
+        if (!saw_kind)
+            throw ProtocolError("request is missing 'kind'");
+        if (request.kind == RequestKind::Simulate) {
+            if (sim_object != nullptr)
+                request.sim = parseSimulateSpec(*sim_object);
+            // No sim object = all defaults, same as bare hpim_cli.
+        } else if (sim_object != nullptr) {
+            throw ProtocolError(
+                "'sim' is only valid on simulate requests");
+        }
     } catch (const json::Error &e) {
+        // A sim number no conversion can read ("steps":1e) lands
+        // here too.
         throw ProtocolError(e.what());
-    }
-    if (!saw_v)
-        throw ProtocolError("request is missing 'v'");
-    if (!saw_id)
-        throw ProtocolError("request is missing 'id'");
-    if (!saw_kind)
-        throw ProtocolError("request is missing 'kind'");
-    if (request.kind == RequestKind::Simulate) {
-        if (sim_object != nullptr)
-            request.sim = parseSimulateSpec(*sim_object);
-        // No sim object = all defaults, same as bare hpim_cli.
-    } else if (sim_object != nullptr) {
-        throw ProtocolError("'sim' is only valid on simulate requests");
     }
     return request;
 }
@@ -454,25 +459,25 @@ responseHead(std::uint64_t id, const char *status)
 void
 dumpValue(const json::Value &value, std::string &out)
 {
-    switch (value.kind) {
+    switch (value.kind()) {
       case json::Value::Kind::Null:
         out += "null";
         break;
       case json::Value::Kind::Bool:
-        out += value.boolean ? "true" : "false";
+        out += value.asBool() ? "true" : "false";
         break;
       case json::Value::Kind::Number:
-        out += value.number;
+        out += value.numberText();
         break;
       case json::Value::Kind::String:
         out += '"';
-        json::escape(out, value.string);
+        json::escape(out, value.asString());
         out += '"';
         break;
       case json::Value::Kind::Array: {
         out += '[';
         bool first = true;
-        for (const json::Value &element : value.array) {
+        for (const json::Value &element : value.elements()) {
             if (!first)
                 out += ',';
             first = false;
@@ -484,7 +489,7 @@ dumpValue(const json::Value &value, std::string &out)
       case json::Value::Kind::Object: {
         out += '{';
         bool first = true;
-        for (const auto &[key, element] : value.object) {
+        for (const auto &[key, element] : value.members()) {
             if (!first)
                 out += ',';
             first = false;
@@ -557,10 +562,10 @@ parseResponse(const std::string &payload)
         if (root.at("v").asInt64() != protocolVersion)
             throw ProtocolError("unsupported response version");
         response.id = root.at("id").asUInt64();
-        const std::string &status = root.at("status").asString();
+        const std::string_view status = root.at("status").asString();
         if (status == "ok") {
             response.ok = true;
-            response.kind = root.at("kind").asString();
+            response.kind = std::string(root.at("kind").asString());
             if (const json::Value *queue_ms = root.find("queue_ms"))
                 response.queueMs = queue_ms->asDouble();
             if (const json::Value *run_ms = root.find("run_ms"))
@@ -574,15 +579,16 @@ parseResponse(const std::string &payload)
         } else if (status == "error") {
             response.ok = false;
             const json::Value &error = root.at("error");
-            const std::string &code = error.at("code").asString();
+            const std::string_view code = error.at("code").asString();
             std::optional<ErrorCode> parsed = errorCodeFromName(code);
             if (!parsed)
-                throw ProtocolError("unknown error code '" + code
-                                    + "'");
+                throw ProtocolError("unknown error code '"
+                                    + std::string(code) + "'");
             response.code = *parsed;
-            response.message = error.at("message").asString();
+            response.message = std::string(error.at("message").asString());
         } else {
-            throw ProtocolError("unknown status '" + status + "'");
+            throw ProtocolError("unknown status '" + std::string(status)
+                                + "'");
         }
     } catch (const json::Error &e) {
         throw ProtocolError(e.what());

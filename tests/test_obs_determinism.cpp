@@ -92,10 +92,10 @@ TEST(ObsDeterminism, TraceIsValidChromeTraceJson)
     ASSERT_TRUE(doc.isObject());
     const auto &events = doc.at("traceEvents");
     ASSERT_TRUE(events.isArray());
-    ASSERT_FALSE(events.array.empty());
+    ASSERT_GT(events.size(), 0u);
     std::size_t spans = 0, metadata = 0;
-    for (const auto &event : events.array) {
-        const std::string &ph = event.at("ph").asString();
+    for (const auto &event : events.elements()) {
+        const std::string_view ph = event.at("ph").asString();
         if (ph == "X")
             ++spans;
         else if (ph == "M")
@@ -113,7 +113,7 @@ TEST(ObsDeterminism, SweepPointsRecordUnderTheirOwnScopes)
     std::string text = tracedSweep(8, 5);
     auto doc = harness::json::parse(text);
     std::size_t max_pid = 0;
-    for (const auto &event : doc.at("traceEvents").array)
+    for (const auto &event : doc.at("traceEvents").elements())
         max_pid = std::max<std::size_t>(max_pid,
                                         event.at("pid").asUInt64());
     // 6 points -> scopes 1..6 (scope 0 is the main run).

@@ -160,18 +160,18 @@ TEST(ObsTrace, ExportStrictParsesAsChromeTrace)
     const auto &events = doc.at("traceEvents");
     ASSERT_TRUE(events.isArray());
     // 3 metadata (process_name + thread_name + sort_index) + 3 events.
-    ASSERT_EQ(events.array.size(), 6u);
+    ASSERT_EQ(events.size(), 6u);
 
-    const auto &span = events.array[3];
+    const auto &span = events[3];
     EXPECT_EQ(span.at("ph").asString(), "X");
     EXPECT_EQ(span.at("name").asString(), "op \"quoted\"\n");
     EXPECT_EQ(span.at("ts").asDouble(), 1.0); // seconds -> micros
     EXPECT_EQ(span.at("dur").asDouble(), 2.0);
     EXPECT_EQ(span.at("args").at("energy_j").asDouble(), 0.25);
-    const auto &instant = events.array[4];
+    const auto &instant = events[4];
     EXPECT_EQ(instant.at("ph").asString(), "i");
     EXPECT_EQ(instant.at("s").asString(), "t");
-    const auto &counter = events.array[5];
+    const auto &counter = events[5];
     EXPECT_EQ(counter.at("ph").asString(), "C");
     EXPECT_EQ(counter.at("args").at("value").asDouble(), 17.0);
 }
@@ -189,10 +189,10 @@ TEST(ObsTrace, ExportMetadataNamesEveryScopeAndTrack)
     session.exportChromeTrace(os);
     auto doc = harness::json::parse(os.str());
     std::vector<std::string> process_names;
-    for (const auto &event : doc.at("traceEvents").array) {
+    for (const auto &event : doc.at("traceEvents").elements()) {
         if (event.at("ph").asString() == "M"
             && event.at("name").asString() == "process_name")
-            process_names.push_back(
+            process_names.emplace_back(
                 event.at("args").at("name").asString());
     }
     // Scope 0 is "run"; scope 3 is sweep point 2.

@@ -319,6 +319,17 @@ TEST(ServeProtocol, MalformedRequestsThrowTyped)
     EXPECT_THROW(serve::parseRequest("{\"v\":1,\"id\":1,\"kind\":"
                                      "\"ping\",\"sim\":{}}"),
                  serve::ProtocolError);
+    // A sim number no conversion reads whole.
+    EXPECT_THROW(
+        serve::parseRequest("{\"v\":1,\"id\":1,\"kind\":\"simulate\","
+                            "\"sim\":{\"steps\":1e}}"),
+        serve::ProtocolError);
+    // Nesting past the reader's depth limit.
+    EXPECT_THROW(serve::parseRequest("{\"v\":1,\"id\":1,\"kind\":"
+                                     "\"ping\",\"x\":"
+                                     + std::string(100, '[')
+                                     + std::string(100, ']') + "}"),
+                 serve::ProtocolError);
 }
 
 TEST(ServeProtocol, ErrorResponseRoundTrips)
@@ -443,6 +454,83 @@ TEST(ServeServer, BadRequestGetsTypedErrorAndConnectionSurvives)
     ASSERT_TRUE(pong.has_value());
     EXPECT_TRUE(pong->ok);
     EXPECT_EQ(pong->id, 78u);
+}
+
+TEST(ServeServer, MalformedNumbersAreBadRequestsAndConnectionSurvives)
+{
+    TestServer server(smallServer("badnumber"));
+    RawConn conn(server->socketPath());
+
+    // A graph document whose cost no conversion reads whole, then a
+    // sim field like it. Either used to abort the daemon.
+    serve::Request bad = simulateRequest(60, "alexnet", 1);
+    bad.sim.graph =
+        R"({"schema_version":1,"name":"g","ops":[{"type":"MatMul",)"
+        R"("label":"m","muls":1e,"adds":1,"specials":0,)"
+        R"("bytes_read":8,"bytes_written":8,"units_per_lane":1,)"
+        R"("lanes":1,"inputs":[]}]})";
+    conn.sendFrame(serve::encodeRequest(bad));
+    auto error = conn.readResponse();
+    ASSERT_TRUE(error.has_value());
+    EXPECT_FALSE(error->ok);
+    EXPECT_EQ(error->code, serve::ErrorCode::BadRequest);
+    EXPECT_EQ(error->id, 60u);
+    EXPECT_NE(error->message.find("malformed number '1e'"),
+              std::string::npos)
+        << error->message;
+
+    conn.sendFrame("{\"v\":1,\"id\":61,\"kind\":\"simulate\","
+                   "\"sim\":{\"steps\":2E+}}");
+    error = conn.readResponse();
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->code, serve::ErrorCode::BadRequest);
+    EXPECT_EQ(error->id, 61u);
+
+    // The next request on the same connection is answered.
+    conn.sendFrame(
+        serve::encodeRequest(simulateRequest(62, "alexnet", 1)));
+    auto report = conn.readResponse();
+    ASSERT_TRUE(report.has_value());
+    EXPECT_TRUE(report->ok);
+    EXPECT_EQ(report->id, 62u);
+}
+
+TEST(ServeServer, DeeplyNestedFramesAreBadRequestsAndConnectionSurvives)
+{
+    TestServer server(smallServer("deepnest"));
+    RawConn conn(server->socketPath());
+
+    // A 600 KB frame of nested arrays, under the 1 MiB frame cap: it
+    // used to overflow the IO thread's stack.
+    const std::size_t depth = 300'000;
+    conn.sendFrame("{\"v\":1,\"id\":70,\"kind\":\"simulate\",\"sim\":"
+                   + std::string(depth, '[') + std::string(depth, ']')
+                   + "}");
+    auto error = conn.readResponse();
+    ASSERT_TRUE(error.has_value());
+    EXPECT_FALSE(error->ok);
+    EXPECT_EQ(error->code, serve::ErrorCode::BadRequest);
+    EXPECT_NE(error->message.find("nesting deeper than 64 levels"),
+              std::string::npos)
+        << error->message;
+
+    // The same nesting inside a graph document.
+    serve::Request bad = simulateRequest(71, "alexnet", 1);
+    bad.sim.graph = std::string(depth, '[') + std::string(depth, ']');
+    conn.sendFrame(serve::encodeRequest(bad));
+    error = conn.readResponse();
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->code, serve::ErrorCode::BadRequest);
+    EXPECT_EQ(error->id, 71u);
+
+    serve::Request ping;
+    ping.id = 72;
+    ping.kind = serve::RequestKind::Ping;
+    conn.sendFrame(serve::encodeRequest(ping));
+    auto pong = conn.readResponse();
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_TRUE(pong->ok);
+    EXPECT_EQ(pong->id, 72u);
 }
 
 TEST(ServeServer, RunPastTheTickClockIsBadRequestAndDaemonServesOn)
