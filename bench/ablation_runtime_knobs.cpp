@@ -47,7 +47,7 @@ main(int argc, char **argv)
         const auto &result = coverage_results[i];
         coverage.addRow(
             {fmt(coverages[i], 0),
-             std::to_string(result.selection.candidates.size()),
+             std::to_string(result.selection->candidates.size()),
              fmt(result.execution.stepSec * 1e3, 1),
              fmt(result.execution.energyPerStepJ, 1)});
     }

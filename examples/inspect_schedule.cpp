@@ -37,7 +37,7 @@ main(int argc, char **argv)
 
     rt::HeteroRuntime runtime(config);
     auto prepared = runtime.train(graph, 1); // profile + selection
-    rt::Executor executor(config, &prepared.selection);
+    rt::Executor executor(config, prepared.selection.get());
     rt::ScheduleTrace trace;
     executor.attachTrace(&trace);
     obs::TraceSession timeline;

@@ -56,11 +56,11 @@ main()
     rt::TrainingResult result = runtime.train(step);
 
     std::cout << "\noffload candidates ("
-              << result.selection.candidates.size() << " op types, "
-              << fmt(result.selection.coveredTimePct, 1)
+              << result.selection->candidates.size() << " op types, "
+              << fmt(result.selection->coveredTimePct, 1)
               << "% of step time):\n";
-    for (const auto &ranked : result.selection.ranking) {
-        if (result.selection.isCandidate(ranked.type)) {
+    for (const auto &ranked : result.selection->ranking) {
+        if (result.selection->isCandidate(ranked.type)) {
             std::cout << "  - " << nn::opName(ranked.type) << " ("
                       << fmt(ranked.timePct, 1) << "% of time)\n";
         }

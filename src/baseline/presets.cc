@@ -1,12 +1,8 @@
 #include "baseline/presets.hh"
 
-#include <memory>
-
 #include "nn/tensor_shape.hh"
 #include "rt/hetero_runtime.hh"
-#include "sim/hash.hh"
 #include "sim/logging.hh"
-#include "sim/memo_cache.hh"
 
 namespace hpim::baseline {
 
@@ -186,37 +182,11 @@ gpuInputBytes(ModelId model)
     panic("unknown model");
 }
 
-namespace {
-
-/**
- * Model graphs are pure functions of (model, batch), and one sweep
- * point builds the same graph for every system kind it compares;
- * memoize the build (sim::MemoCache, exact-match keys).
- */
-std::shared_ptr<const hpim::nn::Graph>
-cachedModel(ModelId model, int batch)
-{
-    auto &cache = hpim::sim::MemoCache::instance();
-    std::uint64_t key = hpim::sim::hashU64(
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(batch)),
-        hpim::sim::hashU64(static_cast<std::uint64_t>(model)));
-    if (auto hit = cache.find<hpim::nn::Graph>(key, "nn.graph"))
-        return hit;
-    auto built = std::make_shared<const hpim::nn::Graph>(
-        hpim::nn::buildModel(model, batch));
-    cache.put<hpim::nn::Graph>(key, "nn.graph", built);
-    return built;
-}
-
-} // namespace
-
 hpim::rt::ExecutionReport
 runSystem(SystemKind kind, ModelId model, std::uint32_t steps,
           double freq_scale, std::uint32_t progr_pims, int batch)
 {
-    std::shared_ptr<const hpim::nn::Graph> graph_ptr =
-        cachedModel(model, batch);
-    const hpim::nn::Graph &graph = *graph_ptr;
+    const hpim::nn::Graph graph = hpim::nn::buildModel(model, batch);
 
     if (kind == SystemKind::Gpu) {
         hpim::gpu::GpuModel gpu(gpuParams());

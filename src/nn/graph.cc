@@ -6,11 +6,41 @@
 
 namespace hpim::nn {
 
+Graph::Graph(std::string name) : _body(std::make_shared<Body>())
+{
+    _body->signature = hpim::sim::hashString(name);
+    _body->name = std::move(name);
+}
+
+Graph::Graph(const Graph &other) noexcept
+    : _body(other._body), _shared(true)
+{
+    other._shared.store(true, std::memory_order_relaxed);
+}
+
+Graph &
+Graph::operator=(const Graph &other) noexcept
+{
+    other._shared.store(true, std::memory_order_relaxed);
+    _body = other._body;
+    _shared.store(true, std::memory_order_relaxed);
+    return *this;
+}
+
 OpId
 Graph::add(OpType type, std::string label, CostStructure cost,
            FixedParallelism parallelism, std::vector<OpId> inputs)
 {
-    OpId id = static_cast<OpId>(_ops.size());
+    // Not use_count(): it reads the count without acquiring, so a
+    // count of one would not order this write after the reads of a
+    // copy another thread just dropped.
+    if (_shared.load(std::memory_order_relaxed)) {
+        _body = std::make_shared<Body>(*_body);
+        _shared.store(false, std::memory_order_relaxed);
+    }
+    Body &body = *_body;
+
+    OpId id = static_cast<OpId>(body.ops.size());
     for (OpId in : inputs) {
         fatal_if(in >= id, "op '", label, "' depends on op ", in,
                  " which does not precede it");
@@ -24,16 +54,16 @@ Graph::add(OpType type, std::string label, CostStructure cost,
     op.parallelism = parallelism;
     op.inputs = std::move(inputs);
 
-    _consumers.emplace_back();
+    body.consumers.emplace_back();
     for (OpId in : op.inputs)
-        _consumers[in].push_back(id);
+        body.consumers[in].push_back(id);
 
     // Fold this op into the structural signature (see graph.hh).
     using hpim::sim::hashDouble;
     using hpim::sim::hashString;
     using hpim::sim::hashU64;
     std::uint64_t h = hashU64(static_cast<std::uint64_t>(type),
-                              _signature);
+                              body.signature);
     h = hashString(op.label, h);
     h = hashDouble(cost.muls, h);
     h = hashDouble(cost.adds, h);
@@ -44,7 +74,7 @@ Graph::add(OpType type, std::string label, CostStructure cost,
     h = hashDouble(parallelism.lanes, h);
     for (OpId in : op.inputs)
         h = hashU64(in, h);
-    _signature = h;
+    body.signature = h;
 
     // Position-independent per-op digest: everything that determines
     // the op's cost on any device model (type, cost fields, fixed
@@ -58,31 +88,30 @@ Graph::add(OpType type, std::string label, CostStructure cost,
     op_sig = hashDouble(cost.bytesWritten, op_sig);
     op_sig = hashU64(parallelism.unitsPerLane, op_sig);
     op_sig = hashDouble(parallelism.lanes, op_sig);
-    _op_signatures.push_back(op_sig);
+    body.opSignatures.push_back(op_sig);
 
-    _ops.push_back(std::move(op));
+    body.ops.push_back(std::move(op));
     return id;
 }
 
 std::size_t
 Graph::checkedIndex(OpId id) const
 {
-    panic_if(id >= _ops.size(), "op id ", id, " out of range");
+    panic_if(id >= size(), "op id ", id, " out of range");
     return id;
 }
 
 const Operation &
 Graph::op(OpId id) const
 {
-    panic_if(id >= _ops.size(), "op id ", id, " out of range");
-    return _ops[id];
+    return _body->ops[checkedIndex(id)];
 }
 
 std::vector<OpId>
 Graph::topoOrder() const
 {
-    std::vector<OpId> order(_ops.size());
-    for (OpId i = 0; i < _ops.size(); ++i)
+    std::vector<OpId> order(size());
+    for (OpId i = 0; i < size(); ++i)
         order[i] = i;
     return order;
 }
@@ -90,9 +119,9 @@ Graph::topoOrder() const
 std::vector<OpId>
 Graph::readyOps(const std::vector<bool> &done) const
 {
-    panic_if(done.size() != _ops.size(), "done vector size mismatch");
+    panic_if(done.size() != size(), "done vector size mismatch");
     std::vector<OpId> ready;
-    for (const Operation &op : _ops) {
+    for (const Operation &op : ops()) {
         if (done[op.id])
             continue;
         bool all_in = std::all_of(
@@ -108,7 +137,7 @@ CostStructure
 Graph::totalCost() const
 {
     CostStructure total;
-    for (const Operation &op : _ops)
+    for (const Operation &op : ops())
         total += op.cost;
     return total;
 }
@@ -117,7 +146,7 @@ std::size_t
 Graph::countType(OpType type) const
 {
     return static_cast<std::size_t>(
-        std::count_if(_ops.begin(), _ops.end(),
+        std::count_if(ops().begin(), ops().end(),
                       [type](const Operation &o) {
                           return o.type == type;
                       }));
@@ -126,9 +155,9 @@ Graph::countType(OpType type) const
 std::size_t
 Graph::criticalPathLength() const
 {
-    std::vector<std::size_t> depth(_ops.size(), 1);
-    std::size_t longest = _ops.empty() ? 0 : 1;
-    for (const Operation &op : _ops) {
+    std::vector<std::size_t> depth(size(), 1);
+    std::size_t longest = size() == 0 ? 0 : 1;
+    for (const Operation &op : ops()) {
         for (OpId in : op.inputs)
             depth[op.id] = std::max(depth[op.id], depth[in] + 1);
         longest = std::max(longest, depth[op.id]);

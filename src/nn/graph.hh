@@ -11,7 +11,9 @@
 #ifndef HPIM_NN_GRAPH_HH
 #define HPIM_NN_GRAPH_HH
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,14 +50,25 @@ struct Operation
     double specialWork() const { return cost.specials; }
 };
 
-/** A training-step DAG. */
+/**
+ * A training-step DAG.
+ *
+ * A value whose copies share one body: name, ops, consumer lists and
+ * both signatures. Copying a built model allocates nothing, which is
+ * what lets sim::MemoCache hand the same graph to every sweep point.
+ * Copying marks both graphs shared, and add() on a shared graph
+ * clones the body first, so a body that any copy has seen is never
+ * written again: threads may read and copy one graph while others
+ * add() to their own copies. Moving copies too, so a moved-from graph
+ * still answers every query as before.
+ */
 class Graph
 {
   public:
-    explicit Graph(std::string name)
-        : _name(std::move(name)),
-          _signature(hpim::sim::hashString(_name))
-    {}
+    explicit Graph(std::string name);
+
+    Graph(const Graph &other) noexcept;
+    Graph &operator=(const Graph &other) noexcept;
 
     /**
      * Append an operation.
@@ -66,13 +79,13 @@ class Graph
              std::vector<OpId> inputs = {});
 
     const Operation &op(OpId id) const;
-    std::size_t size() const { return _ops.size(); }
-    const std::vector<Operation> &ops() const { return _ops; }
-    const std::string &name() const { return _name; }
+    std::size_t size() const { return _body->ops.size(); }
+    const std::vector<Operation> &ops() const { return _body->ops; }
+    const std::string &name() const { return _body->name; }
 
     /** Consumers of each op (reverse adjacency). */
     const std::vector<std::vector<OpId>> &consumers() const
-    { return _consumers; }
+    { return _body->consumers; }
 
     /**
      * @return ids in a valid topological order.
@@ -99,7 +112,7 @@ class Graph
      * by add(). Two graphs with equal signatures went through the
      * same construction; sim::MemoCache keys on it.
      */
-    std::uint64_t signature() const { return _signature; }
+    std::uint64_t signature() const { return _body->signature; }
 
     /**
      * Position-independent digest of one op: type, cost structure
@@ -112,18 +125,26 @@ class Graph
     std::uint64_t
     opSignature(OpId id) const
     {
-        return _op_signatures[checkedIndex(id)];
+        return _body->opSignatures[checkedIndex(id)];
     }
 
   private:
     /** Bounds-checked id -> index (panics on a foreign id). */
     std::size_t checkedIndex(OpId id) const;
 
-    std::string _name;
-    std::vector<Operation> _ops;
-    std::vector<std::vector<OpId>> _consumers;
-    std::uint64_t _signature;
-    std::vector<std::uint64_t> _op_signatures;
+    /** What copies share. */
+    struct Body
+    {
+        std::string name;
+        std::vector<Operation> ops;
+        std::vector<std::vector<OpId>> consumers;
+        std::uint64_t signature = 0;
+        std::vector<std::uint64_t> opSignatures;
+    };
+
+    std::shared_ptr<Body> _body;
+    /** Another graph holds, or held, this body (set by copies). */
+    mutable std::atomic<bool> _shared{false};
 };
 
 } // namespace hpim::nn

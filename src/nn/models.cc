@@ -1,8 +1,12 @@
 #include "nn/models.hh"
 
+#include <memory>
+
 #include "nn/builder.hh"
 #include "nn/graph_builder.hh"
+#include "sim/hash.hh"
 #include "sim/logging.hh"
+#include "sim/memo_cache.hh"
 
 namespace hpim::nn {
 
@@ -36,11 +40,11 @@ modelName(ModelId model)
     panic("unknown model id");
 }
 
+namespace {
+
 Graph
-buildModel(ModelId model, int batch)
+buildResolved(ModelId model, int batch)
 {
-    if (batch <= 0)
-        batch = defaultBatchSize(model);
     switch (model) {
       case ModelId::Vgg19:       return buildVgg19(batch);
       case ModelId::AlexNet:     return buildAlexNet(batch);
@@ -51,6 +55,27 @@ buildModel(ModelId model, int batch)
       case ModelId::Word2vec:    return buildWord2vec(batch);
     }
     panic("unknown model id");
+}
+
+} // namespace
+
+Graph
+buildModel(ModelId model, int batch)
+{
+    if (batch <= 0)
+        batch = defaultBatchSize(model);
+    if (!hpim::sim::MemoCache::active())
+        return buildResolved(model, batch);
+    auto &cache = hpim::sim::MemoCache::instance();
+    const std::uint64_t key =
+        hpim::sim::hashU64(static_cast<std::uint64_t>(batch),
+                           hpim::sim::hashU64(
+                               static_cast<std::uint64_t>(model)));
+    if (auto hit = cache.find<Graph>(key, "nn.graph"))
+        return *hit;
+    auto built = std::make_shared<const Graph>(buildResolved(model, batch));
+    cache.put<Graph>(key, "nn.graph", built);
+    return *built;
 }
 
 std::vector<ModelId>

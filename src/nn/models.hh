@@ -32,7 +32,15 @@ int defaultBatchSize(ModelId model);
 /** @return the human-readable model name. */
 std::string modelName(ModelId model);
 
-/** Build one training step of @p model; batch <= 0 uses the default. */
+/**
+ * One training step of @p model; batch <= 0 uses the default.
+ *
+ * A graph is a pure function of (model, batch), so while
+ * sim::MemoCache is active the build is memoized under "nn.graph",
+ * keyed on the model and the resolved batch: every later call returns
+ * a copy that shares the first build's body. While the cache is
+ * inactive it builds afresh.
+ */
 Graph buildModel(ModelId model, int batch = 0);
 
 /** VGG-19 on ImageNet-sized inputs (batch 32). */

@@ -16,8 +16,8 @@ namespace {
 /** The memoizable part of prepare(): profile + candidate selection. */
 struct Prepared
 {
-    ProfileReport profile;
-    OffloadSelection selection;
+    std::shared_ptr<const ProfileReport> profile;
+    std::shared_ptr<const OffloadSelection> selection;
 };
 
 /**
@@ -79,23 +79,23 @@ HeteroRuntime::prepare(const Graph &graph) const
         return result;
     }
 
-    std::shared_ptr<const ProfileReport> profile =
-        cache.find<ProfileReport>(profile_key, "rt.profile");
-    if (profile == nullptr) {
+    result.profile = cache.find<ProfileReport>(profile_key, "rt.profile");
+    if (result.profile == nullptr) {
         // Memo hits above are free; only an actual profile pass is
         // worth a deadline phase boundary (docs/SERVING.md).
         hpim::sim::checkDeadline("profile");
         Profiler profiler{hpim::cpu::CpuModel(_config.cpu)};
-        profile = std::make_shared<const ProfileReport>(
+        result.profile = std::make_shared<const ProfileReport>(
             profiler.profileDelta(graph, cpu_key));
-        cache.put<ProfileReport>(profile_key, "rt.profile", profile);
+        cache.put<ProfileReport>(profile_key, "rt.profile",
+                                 result.profile);
     }
-    result.profile = *profile;
-    result.selection = selectOffloadCandidates(
-        result.profile, _config.offloadCoveragePct);
-    auto made = std::make_shared<const Prepared>(
-        Prepared{result.profile, result.selection});
-    cache.put<Prepared>(key, "rt.prepared", std::move(made));
+    result.selection = std::make_shared<const OffloadSelection>(
+        selectOffloadCandidates(*result.profile,
+                                _config.offloadCoveragePct));
+    cache.put<Prepared>(key, "rt.prepared",
+                        std::make_shared<const Prepared>(
+                            Prepared{result.profile, result.selection}));
     return result;
 }
 
@@ -104,9 +104,7 @@ HeteroRuntime::train(const Graph &graph, std::uint32_t steps) const
 {
     TrainingResult result = prepare(graph);
     hpim::sim::checkDeadline("execute");
-    Executor executor(_config, _config.dynamicScheduling
-                                   ? &result.selection
-                                   : nullptr);
+    Executor executor(_config, result.selection.get());
     result.execution =
         executor.run(graph, steps == 0 ? _config.steps : steps);
     return result;
@@ -120,9 +118,7 @@ HeteroRuntime::guestSteps(const Graph &primary, const Graph &guest,
     // Balance using quick one-step simulations: the primary at its
     // PIM-accelerated speed, the guest at its CPU/progr-PIM speed.
     TrainingResult primary_probe = prepare(primary);
-    Executor first(_config, _config.dynamicScheduling
-                                ? &primary_probe.selection
-                                : nullptr);
+    Executor first(_config, primary_probe.selection.get());
     double primary_est = first.run(primary, 1).stepSec;
 
     Executor second(_config, nullptr);
@@ -148,9 +144,7 @@ HeteroRuntime::corun(const Graph &primary, const Graph &guest,
                      std::uint32_t steps) const
 {
     TrainingResult result = prepare(primary);
-    Executor executor(_config, _config.dynamicScheduling
-                                   ? &result.selection
-                                   : nullptr);
+    Executor executor(_config, result.selection.get());
     std::uint32_t n = steps == 0 ? _config.steps : steps;
 
     WorkloadSpec primary_spec;
@@ -174,9 +168,7 @@ HeteroRuntime::corunSequential(const Graph &primary, const Graph &guest,
     std::uint32_t n = steps == 0 ? _config.steps : steps;
 
     TrainingResult result = prepare(primary);
-    Executor first(_config, _config.dynamicScheduling
-                                ? &result.selection
-                                : nullptr);
+    Executor first(_config, result.selection.get());
     ExecutionReport a = first.run(primary, n);
 
     // The guest runs after the primary finishes, still restricted to

@@ -12,7 +12,7 @@
 #ifndef HPIM_RT_HETERO_RUNTIME_HH
 #define HPIM_RT_HETERO_RUNTIME_HH
 
-#include <optional>
+#include <memory>
 
 #include "nn/graph.hh"
 #include "rt/executor.hh"
@@ -22,11 +22,19 @@
 
 namespace hpim::rt {
 
-/** Everything produced by a training run. */
+/**
+ * Everything produced by a training run.
+ *
+ * While sim::MemoCache is active, the profile and selection are the
+ * objects it holds for this (graph, CPU, coverage): every run that
+ * hits it shares them, so both are read-only.
+ */
 struct TrainingResult
 {
-    ProfileReport profile;        ///< step-1 profile (empty if unused)
-    OffloadSelection selection;   ///< offload candidates
+    /** Step-1 profile; null when dynamic scheduling is off. */
+    std::shared_ptr<const ProfileReport> profile;
+    /** Offload candidates; null when dynamic scheduling is off. */
+    std::shared_ptr<const OffloadSelection> selection;
     ExecutionReport execution;    ///< the scheduled run
 };
 

@@ -16,8 +16,8 @@ namespace {
 
 /**
  * User graphs are pure functions of their document text; memoize the
- * parse + reconstruction the same way presets.cc memoizes built-in
- * model builds, keyed on the exact bytes of the document.
+ * parse + reconstruction the same way nn::buildModel memoizes
+ * built-in model builds, keyed on the exact bytes of the document.
  */
 std::shared_ptr<const hpim::nn::Graph>
 cachedUserGraph(const std::string &text)
@@ -55,9 +55,9 @@ runSimulate(const SimulateSpec &spec)
              "rejected at request validation");
 
     // The branch structure deliberately mirrors what hpim_cli always
-    // did: the common paths go through baseline::runSystem (and its
-    // memoized model build); only fault injection and explicit
-    // hetero feature flags need a hand-built SystemConfig.
+    // did: the common paths go through baseline::runSystem; only fault
+    // injection and explicit hetero feature flags need a hand-built
+    // SystemConfig.
     if (faults
         || (*system == hpim::baseline::SystemKind::HeteroPim
             && (!spec.rc || !spec.op))) {

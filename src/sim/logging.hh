@@ -87,15 +87,25 @@ formatAll(const Args &...args)
         __builtin_unreachable();                                           \
     } while (0)
 
+/**
+ * Emit a warn()/inform() record, formatting it only when the threshold
+ * lets it through: a dropped message costs one threshold load.
+ */
+#define HPIM_LOG_FILTERED_(level, ...)                                     \
+    do {                                                                   \
+        if ((level) >= ::hpim::sim::logThreshold()) {                      \
+            ::hpim::sim::logMessage((level), HPIM_LOG_SITE_,               \
+                ::hpim::sim::detail::formatAll(__VA_ARGS__));              \
+        }                                                                  \
+    } while (0)
+
 /** Warn about approximate or suspicious behaviour; keep running. */
 #define warn(...)                                                          \
-    ::hpim::sim::logMessage(::hpim::sim::LogLevel::Warn,                   \
-        HPIM_LOG_SITE_, ::hpim::sim::detail::formatAll(__VA_ARGS__))
+    HPIM_LOG_FILTERED_(::hpim::sim::LogLevel::Warn, __VA_ARGS__)
 
 /** Informational status message. */
 #define inform(...)                                                        \
-    ::hpim::sim::logMessage(::hpim::sim::LogLevel::Inform,                 \
-        HPIM_LOG_SITE_, ::hpim::sim::detail::formatAll(__VA_ARGS__))
+    HPIM_LOG_FILTERED_(::hpim::sim::LogLevel::Inform, __VA_ARGS__)
 
 /** panic() unless the given condition holds. */
 #define panic_if(cond, ...)                                                \

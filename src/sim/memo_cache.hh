@@ -3,9 +3,10 @@
  * Deterministic cross-point memo cache (docs/PERFORMANCE.md).
  *
  * Sweeps re-run identical sub-simulations thousands of times: every
- * system kind of a fig8 point rebuilds the same model graph, and every
- * RC/OP variant of a fig13 point re-profiles the same graph against
- * the same CPU. The cache keys such results on a canonical FNV-1a
+ * point of a fig8 or fault sweep trains one of the same five model
+ * graphs (nn::buildModel), and every RC/OP variant of a fig13 point
+ * re-profiles the same graph against the same CPU (rt::HeteroRuntime).
+ * The cache keys such results on a canonical FNV-1a
  * hash of *all* inputs (sim/hash.hh) and reuses them on exact match
  * only, so cached and uncached runs are bit-identical by
  * construction -- a hit returns the very object an identical

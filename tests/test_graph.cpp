@@ -51,6 +51,41 @@ TEST(Graph, ConsumersAreReverseEdges)
     EXPECT_TRUE(g.consumers()[c].empty());
 }
 
+TEST(Graph, CopiesShareOneBodyUntilAdd)
+{
+    Graph original("shared");
+    OpId a = original.add(OpType::MatMul, "a", unitCost(), unitPar());
+    const std::uint64_t signature = original.signature();
+
+    Graph copy = original;
+    EXPECT_EQ(&copy.ops(), &original.ops());
+
+    OpId b = copy.add(OpType::Relu, "b", unitCost(), unitPar(), {a});
+    EXPECT_NE(&copy.ops(), &original.ops());
+    EXPECT_EQ(original.size(), 1u);
+    EXPECT_EQ(original.signature(), signature);
+    EXPECT_TRUE(original.consumers()[a].empty());
+
+    Graph fresh("shared");
+    fresh.add(OpType::MatMul, "a", unitCost(), unitPar());
+    fresh.add(OpType::Relu, "b", unitCost(), unitPar(), {a});
+    EXPECT_EQ(copy.signature(), fresh.signature());
+    EXPECT_EQ(copy.opSignature(b), fresh.opSignature(b));
+    EXPECT_EQ(copy.consumers()[a], std::vector<OpId>{b});
+
+    // add() on the source of a copy leaves the copy as it was.
+    const Graph snapshot = original;
+    original.add(OpType::Softmax, "c", unitCost(), unitPar(), {a});
+    EXPECT_EQ(snapshot.size(), 1u);
+    EXPECT_EQ(snapshot.signature(), signature);
+
+    // Moving copies, so the moved-from graph still answers queries.
+    Graph moved = std::move(copy);
+    EXPECT_EQ(copy.size(), 2u);
+    EXPECT_EQ(copy.signature(), moved.signature());
+    EXPECT_EQ(copy.name(), "shared");
+}
+
 TEST(GraphDeath, ForwardReferenceIsFatal)
 {
     Graph g("test");

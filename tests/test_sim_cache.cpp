@@ -13,6 +13,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "baseline/presets.hh"
@@ -24,6 +26,7 @@
 #include "nn/models.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "rt/hetero_runtime.hh"
 #include "serve/simulate.hh"
 #include "sim/memo_cache.hh"
 
@@ -516,5 +519,107 @@ TEST_F(SimCacheTest, NeighboringConfigMemoCountsArePinned)
             EXPECT_EQ(got.insertions, want.insertions)
                 << input.name << ", pass " << pass + 1;
         }
+    }
+}
+
+TEST_F(SimCacheTest, ModelBuildsAreMemoizedPerModelAndBatch)
+{
+    using hpim::nn::ModelId;
+    // Five CNNs x three fault seeds through HeteroRuntime::train, the
+    // fault sweep's point. Per model, the first seed misses and fills
+    // nn.graph, rt.prepared and rt.profile, and looks up every op in
+    // the partial tier rt.profile.op: 1509 ops over the five models,
+    // 514 distinct op shapes. The other two seeds hit nn.graph and
+    // rt.prepared: a fault seed shapes neither.
+    //   hits:         10 nn.graph + 10 rt.prepared
+    //   partial hits: 995 rt.profile.op (1509 ops - 514 shapes)
+    //   misses:       5 nn.graph + 5 rt.prepared + 5 rt.profile
+    //                 + 514 rt.profile.op
+    //   insertions:   one per miss
+    for (ModelId model : hpim::nn::cnnModels()) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            hpim::rt::SystemConfig config =
+                hpim::baseline::makeConfig(
+                    hpim::baseline::SystemKind::HeteroPim);
+            config.steps = 1;
+            config.faults.enabled = true;
+            config.faults.transientRatePerOp = 1e-3;
+            config.faults.killBanks = 4;
+            config.faults.seed = seed;
+            hpim::rt::HeteroRuntime(config).train(
+                hpim::nn::buildModel(model));
+        }
+    }
+    MemoCache::Stats got = MemoCache::instance().stats();
+    EXPECT_EQ(got.hits, 20u);
+    EXPECT_EQ(got.partialHits, 995u);
+    EXPECT_EQ(got.misses, 529u);
+    EXPECT_EQ(got.insertions, 529u);
+
+    // The default batch resolves before keying: one entry.
+    MemoCache::instance().clear();
+    const hpim::nn::Graph by_default =
+        hpim::nn::buildModel(ModelId::AlexNet, 0);
+    const hpim::nn::Graph explicit_batch = hpim::nn::buildModel(
+        ModelId::AlexNet, hpim::nn::defaultBatchSize(ModelId::AlexNet));
+    EXPECT_EQ(&by_default.ops(), &explicit_batch.ops());
+    got = MemoCache::instance().stats();
+    EXPECT_EQ(got.misses, 1u);
+    EXPECT_EQ(got.hits, 1u);
+    EXPECT_EQ(got.insertions, 1u);
+    EXPECT_EQ(got.entries, 1u);
+
+    // A disabled cache is neither asked nor filled.
+    MemoCache::setEnabled(false);
+    const hpim::nn::Graph uncached =
+        hpim::nn::buildModel(ModelId::Vgg19);
+    MemoCache::setEnabled(true);
+    EXPECT_NE(&uncached.ops(), &by_default.ops());
+    const MemoCache::Stats after = MemoCache::instance().stats();
+    EXPECT_EQ(after.hits + after.misses + after.partialHits,
+              got.hits + got.misses + got.partialHits);
+    EXPECT_EQ(after.insertions, got.insertions);
+}
+
+TEST_F(SimCacheTest, ThreadsAddToCopiesOfAMemoizedModel)
+{
+    using namespace hpim::nn;
+    // Sweep workers share graph bodies across threads. Four threads
+    // each copy one memoized model and add() to their copy while this
+    // thread reads the memoized graph; run under ThreadSanitizer in CI.
+    const Graph memoized = buildModel(ModelId::AlexNet);
+    const std::uint64_t signature = memoized.signature();
+    const std::size_t size = memoized.size();
+    CostStructure cost;
+    cost.specials = 64;
+
+    std::vector<std::pair<std::size_t, std::uint64_t>> grown(4);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < grown.size(); ++t) {
+        threads.emplace_back([&grown, &cost, t] {
+            Graph copy = buildModel(ModelId::AlexNet);
+            for (int i = 0; i < 8; ++i) {
+                const OpId last = static_cast<OpId>(copy.size() - 1);
+                copy.add(OpType::Relu, "extra/Relu", cost, {}, {last});
+            }
+            grown[t] = {copy.size(), copy.signature()};
+        });
+    }
+    double flops = 0.0;
+    for (int round = 0; round < 20; ++round) {
+        for (const Operation &op : memoized.ops())
+            flops += op.cost.flops() + memoized.opSignature(op.id) % 2;
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    EXPECT_GT(flops, 0.0);
+    EXPECT_EQ(memoized.size(), size);
+    EXPECT_EQ(memoized.signature(), signature);
+    EXPECT_EQ(buildModel(ModelId::AlexNet).size(), size);
+    for (const auto &[grown_size, grown_signature] : grown) {
+        EXPECT_EQ(grown_size, size + 8);
+        EXPECT_EQ(grown_signature, grown.front().second);
+        EXPECT_NE(grown_signature, signature);
     }
 }
