@@ -3,8 +3,7 @@
  * Bring-your-own-model: assemble a training-step graph op by op with
  * the public nn::Builder (docs/GRAPHS.md), round-trip it through the
  * JSON graph format (nn/graph_io.hh) the way `hpim_cli --graph`
- * would, compile one op into its four binaries through the
- * extended-OpenCL layer, and then let the runtime schedule it.
+ * would, and then let the runtime schedule it.
  *
  *   $ ./examples/custom_model
  */
@@ -12,7 +11,6 @@
 #include <iostream>
 
 #include "baseline/presets.hh"
-#include "cl/kernel.hh"
 #include "harness/table_printer.hh"
 #include "nn/graph_builder.hh"
 #include "nn/graph_io.hh"
@@ -57,30 +55,7 @@ main()
                       : "DIFFER (bug!)")
               << "\n";
 
-    // ---- 3. Peek under the hood of the programming model: compile
-    //          one op into its four binaries (paper Fig. 4).
-    nn::OpId grad_w = nn::invalidOp;
-    for (nn::OpId id = 0; id < graph.size(); ++id) {
-        if (graph.op(id).type == nn::OpType::MatMulGradWeights) {
-            grad_w = id;
-            break;
-        }
-    }
-    cl::Kernel kernel;
-    kernel.name = graph.op(grad_w).label;
-    kernel.opType = nn::OpType::MatMulGradWeights;
-    kernel.cost = graph.op(grad_w).cost;
-    kernel.parallelism = graph.op(grad_w).parallelism;
-    cl::BinarySet binaries = cl::compileKernel(kernel);
-    std::cout << "\ncompiled '" << kernel.name << "' into "
-              << binaries.binaries.size() << " binaries:\n";
-    for (const auto &binary : binaries.binaries) {
-        std::cout << "  " << binary.symbol << " ("
-                  << fmt(binary.workOps / 1e6, 2) << "M ops, "
-                  << binary.recursiveCalls << " recursive calls)\n";
-    }
-
-    // ---- 4. Full runtime scheduling of the *reloaded* step: the
+    // ---- 3. Full runtime scheduling of the *reloaded* step: the
     //         JSON copy schedules identically to the built one.
     auto config = baseline::makeConfig(baseline::SystemKind::HeteroPim);
     config.steps = 16;

@@ -18,6 +18,10 @@
  * status: 0 when the aggregates match, 1 when they differ -- so a CI
  * job can assert two runs produced equivalent timelines without
  * requiring byte identity.
+ *
+ * A file that is not valid JSON, or not a valid trace (a missing key,
+ * a value of the wrong kind or sign), is fatal: one diagnostic naming
+ * the file, exit status 1.
  */
 
 #include <algorithm>
@@ -77,15 +81,11 @@ readFile(const std::string &path)
     return text.str();
 }
 
+/** Read the events of a parsed trace document; a missing key or a
+ *  value of the wrong kind or range throws json::Error. */
 Trace
-loadTrace(const std::string &path)
+readTrace(const Value &doc, const std::string &path)
 {
-    Value doc;
-    try {
-        doc = harness::json::parse(readFile(path));
-    } catch (const harness::json::Error &e) {
-        fatal("'", path, "' is not valid JSON: ", e.what());
-    }
     fatal_if(!doc.isObject(), "'", path,
              "' is not a Chrome trace (top level must be an object)");
     const Value &events = doc.at("traceEvents");
@@ -124,6 +124,22 @@ loadTrace(const std::string &path)
         // "C" counter samples carry no duration; nothing to aggregate.
     }
     return trace;
+}
+
+Trace
+loadTrace(const std::string &path)
+{
+    Value doc;
+    try {
+        doc = harness::json::parse(readFile(path));
+    } catch (const harness::json::Error &e) {
+        fatal("'", path, "' is not valid JSON: ", e.what());
+    }
+    try {
+        return readTrace(doc, path);
+    } catch (const harness::json::Error &e) {
+        fatal("'", path, "' is not a valid trace: ", e.what());
+    }
 }
 
 std::string

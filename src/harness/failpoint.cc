@@ -83,22 +83,6 @@ struct FailPointDetail
                                             const std::string &program);
 };
 
-const char *
-failKindName(FailKind kind)
-{
-    switch (kind) {
-      case FailKind::None: return "none";
-      case FailKind::Enospc: return "enospc";
-      case FailKind::Eintr: return "eintr";
-      case FailKind::Eio: return "eio";
-      case FailKind::ShortWrite: return "short";
-      case FailKind::FsyncFail: return "fsync";
-      case FailKind::RenameFail: return "rename";
-      case FailKind::AllocFail: return "alloc";
-    }
-    return "none";
-}
-
 IoError::IoError(std::string operation, std::string file_path,
                  int error)
     : std::runtime_error("io error: " + operation + " '" + file_path

@@ -71,9 +71,6 @@ enum class FailKind : std::uint8_t
     AllocFail,  ///< throw std::bad_alloc at the site
 };
 
-/** @return stable spec-grammar name, e.g. "enospc". */
-const char *failKindName(FailKind kind);
-
 /** One activation's verdict. Contextually false when the site passes. */
 struct FailDecision
 {

@@ -157,16 +157,6 @@ Writer::value(bool flag)
     return *this;
 }
 
-Writer &
-Writer::valueNull()
-{
-    preValue();
-    _os << "null";
-    if (_stack.empty())
-        _root_done = true;
-    return *this;
-}
-
 bool
 Writer::done() const
 {

@@ -58,7 +58,6 @@ class Writer
     Writer &value(std::int32_t number)
     { return value(static_cast<std::int64_t>(number)); }
     Writer &value(bool flag);
-    Writer &valueNull();
 
     /** key() + value() in one call, for every value overload. */
     template <typename T>

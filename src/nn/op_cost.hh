@@ -30,8 +30,6 @@ struct CostStructure
 
     /** Total floating-point work (mul + add). */
     double flops() const { return muls + adds; }
-    /** All scalar operations including specials. */
-    double totalOps() const { return muls + adds + specials; }
     /** Total DRAM traffic. */
     double bytes() const { return bytesRead + bytesWritten; }
     /** Arithmetic intensity in flops/byte (0 when no traffic). */

@@ -115,7 +115,7 @@ Executor::setupFaultLayer()
                                                                 units);
     }
     _fault_model = std::make_unique<hpim::sim::FaultModel>(
-        _config.faults, std::move(units), std::move(temps));
+        _config.faults, units, std::move(temps));
 }
 
 Executor::~Executor()

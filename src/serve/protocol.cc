@@ -157,15 +157,6 @@ systemFromToken(const std::string &token)
 }
 
 const char *
-systemToken(hpim::baseline::SystemKind kind)
-{
-    for (const SystemToken &s : kSystems)
-        if (s.kind == kind)
-            return s.token;
-    return "hetero";
-}
-
-const char *
 modelTokenList()
 {
     return "vgg19 alexnet dcgan resnet50 inception3 lstm word2vec";

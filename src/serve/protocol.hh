@@ -218,9 +218,6 @@ const char *modelToken(hpim::nn::ModelId model);
 std::optional<hpim::baseline::SystemKind>
 systemFromToken(const std::string &token);
 
-/** @return the wire token of @p kind. */
-const char *systemToken(hpim::baseline::SystemKind kind);
-
 /** Space-separated token lists for usage/error messages. */
 const char *modelTokenList();
 const char *systemTokenList();

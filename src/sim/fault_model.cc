@@ -8,10 +8,9 @@
 namespace hpim::sim {
 
 FaultModel::FaultModel(const FaultConfig &config,
-                       std::vector<std::uint32_t> units_per_bank,
+                       const std::vector<std::uint32_t> &units_per_bank,
                        std::vector<double> bank_temp_c)
-    : _config(config), _units_per_bank(std::move(units_per_bank)),
-      _rng(config.seed)
+    : _config(config), _rng(config.seed)
 {
     fatal_if(_config.transientRatePerOp < 0.0
                  || _config.transientRatePerOp > 1.0,
@@ -25,7 +24,7 @@ FaultModel::FaultModel(const FaultConfig &config,
              "maxAttempts must be at least 1");
 
     const auto banks =
-        static_cast<std::uint32_t>(_units_per_bank.size());
+        static_cast<std::uint32_t>(units_per_bank.size());
 
     // ---- Permanent kills: a sequential distinct-bank walk, so the
     // kill set for k banks is a prefix of the set for k + 1 under the
@@ -53,7 +52,7 @@ FaultModel::FaultModel(const FaultConfig &config,
     // ---- Thermal throttling: banks above the threshold duty-cycle
     // offline with a per-bank phase offset.
     if (!bank_temp_c.empty()) {
-        fatal_if(bank_temp_c.size() != _units_per_bank.size(),
+        fatal_if(bank_temp_c.size() != units_per_bank.size(),
                  "bank_temp_c has ", bank_temp_c.size(),
                  " entries for ", banks, " banks");
         double duty =
@@ -72,14 +71,6 @@ FaultModel::FaultModel(const FaultConfig &config,
             _throttles.push_back(spec);
         }
     }
-}
-
-std::uint32_t
-FaultModel::unitsInBank(std::uint32_t bank) const
-{
-    panic_if(bank >= _units_per_bank.size(), "bank ", bank,
-             " out of range ", _units_per_bank.size());
-    return _units_per_bank[bank];
 }
 
 FaultModel::Attempt

@@ -114,7 +114,7 @@ class FaultModel
      *        empty disables thermal throttling
      */
     FaultModel(const FaultConfig &config,
-               std::vector<std::uint32_t> units_per_bank,
+               const std::vector<std::uint32_t> &units_per_bank,
                std::vector<double> bank_temp_c = {});
 
     const FaultConfig &config() const { return _config; }
@@ -125,9 +125,6 @@ class FaultModel
     /** Throttle patterns of the banks above the thermal threshold. */
     const std::vector<ThrottleSpec> &throttles() const
     { return _throttles; }
-
-    /** Units hosted by bank @p bank. */
-    std::uint32_t unitsInBank(std::uint32_t bank) const;
 
     /**
      * Draw the outcome of one offload attempt (advances the stream).
@@ -143,7 +140,6 @@ class FaultModel
 
   private:
     FaultConfig _config;
-    std::vector<std::uint32_t> _units_per_bank;
     Rng _rng;
     std::vector<BankKill> _kills;
     std::vector<ThrottleSpec> _throttles;

@@ -1,10 +1,13 @@
 /**
  * @file
- * Unit + property tests for the analytic op cost model -- the numbers
- * every scheduling and energy result rests on.
+ * Unit + property tests for the analytic op cost model and the op
+ * type traits -- the numbers every scheduling and energy result rests
+ * on.
  */
 
 #include <gtest/gtest.h>
+
+#include <iterator>
 
 #include "nn/op_cost.hh"
 
@@ -148,6 +151,66 @@ TEST(OpCost, IntensityDefinition)
     EXPECT_DOUBLE_EQ(c.intensity(), 2.0);
     CostStructure empty;
     EXPECT_DOUBLE_EQ(empty.intensity(), 0.0);
+}
+
+TEST(OpTraits, OffloadClassOfEveryOpTypeIsPinned)
+{
+    // Paper Fig. 2's four classes, one row per op type in enum order.
+    // Every placement decision reads them.
+    using C = OffloadClass;
+    struct Row
+    {
+        OpType type;
+        C offloadClass;
+        bool fixedPortion;
+    };
+    const Row rows[] = {
+        {OpType::MatMul, C::FixedFunction, true},
+        {OpType::Conv2D, C::FixedFunction, true},
+        {OpType::Mul, C::FixedFunction, true},
+        {OpType::Add, C::FixedFunction, true},
+        {OpType::Sub, C::FixedFunction, true},
+        {OpType::BiasAdd, C::FixedFunction, true},
+        {OpType::Conv2DBackpropFilter, C::Recursive, true},
+        {OpType::Conv2DBackpropInput, C::Recursive, true},
+        {OpType::MatMulGradWeights, C::Recursive, true},
+        {OpType::MatMulGradInputs, C::Recursive, true},
+        {OpType::BiasAddGrad, C::Recursive, true},
+        {OpType::LstmCell, C::Recursive, true},
+        {OpType::LstmCellGrad, C::Recursive, true},
+        {OpType::BatchNorm, C::Recursive, true},
+        {OpType::BatchNormGrad, C::Recursive, true},
+        {OpType::Relu, C::ProgrammableOnly, false},
+        {OpType::ReluGrad, C::ProgrammableOnly, false},
+        {OpType::MaxPool, C::ProgrammableOnly, false},
+        {OpType::MaxPoolGrad, C::ProgrammableOnly, false},
+        {OpType::AvgPool, C::ProgrammableOnly, false},
+        {OpType::AvgPoolGrad, C::ProgrammableOnly, false},
+        {OpType::Softmax, C::ProgrammableOnly, false},
+        {OpType::SoftmaxGrad, C::ProgrammableOnly, false},
+        {OpType::ApplyAdam, C::ProgrammableOnly, false},
+        {OpType::Dropout, C::ProgrammableOnly, false},
+        {OpType::DropoutGrad, C::ProgrammableOnly, false},
+        {OpType::Tanh, C::ProgrammableOnly, false},
+        {OpType::Sigmoid, C::ProgrammableOnly, false},
+        {OpType::EmbeddingLookup, C::ProgrammableOnly, false},
+        {OpType::EmbeddingGrad, C::ProgrammableOnly, false},
+        {OpType::NceLoss, C::ProgrammableOnly, false},
+        {OpType::Slice, C::DataMovement, false},
+        {OpType::Concat, C::DataMovement, false},
+        {OpType::Reshape, C::DataMovement, false},
+        {OpType::Transpose, C::DataMovement, false},
+        {OpType::Pad, C::DataMovement, false},
+        {OpType::ApplySgd, C::ProgrammableOnly, false},
+    };
+    ASSERT_EQ(std::size(rows), numOpTypes);
+    for (std::size_t i = 0; i < numOpTypes; ++i) {
+        const Row &row = rows[i];
+        SCOPED_TRACE(opName(row.type));
+        EXPECT_EQ(static_cast<std::size_t>(row.type), i);
+        EXPECT_EQ(opTraits(row.type).offloadClass, row.offloadClass);
+        EXPECT_EQ(hasFixedPortion(row.type), row.fixedPortion);
+    }
 }
 
 TEST(FixedParallelismModel, PaperElevenByElevenExample)

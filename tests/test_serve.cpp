@@ -648,10 +648,12 @@ TEST(ServeServer, DeadlineExpiresMidSimulation)
     TestServer server(smallServer("dlrun"));
     serve::Client client = makeClient(server->socketPath());
 
-    // Runs immediately (idle workers) but cannot finish 4001 VGG-19
-    // steps in a millisecond: expires at a phase boundary.
+    // Runs at once on an idle worker but cannot finish 400001 VGG-19
+    // steps in 250 ms: expires at a phase boundary. The budget
+    // outlasts a loaded host's delay before a worker picks the
+    // request up, which would otherwise expire it in the queue.
     serve::Response response =
-        client.call(simulateRequest(1, "vgg19", 4'001, 1.0));
+        client.call(simulateRequest(1, "vgg19", 400'001, 250.0));
     ASSERT_FALSE(response.ok);
     EXPECT_EQ(response.code, serve::ErrorCode::DeadlineExceeded);
     EXPECT_NE(response.message.find("phase"), std::string::npos);
@@ -692,7 +694,12 @@ TEST(ServeServer, DrainFinishesInFlightWorkAndStopsAccepting)
 
 TEST(ServeServer, DrainingDaemonRejectsNewWorkTyped)
 {
-    TestServer server(smallServer("drainreject"));
+    // The parked request must finish on its own: under a sanitizer it
+    // outlasts the default 30 s grace, whose hard stop would answer it
+    // shutting_down.
+    serve::ServerOptions options = smallServer("drainreject");
+    options.drainGraceMs = 600'000.0;
+    TestServer server(std::move(options));
     RawConn conn(server->socketPath());
 
     // Park a genuinely slow request so the drain stays open while we
