@@ -1,6 +1,6 @@
 #include "harness/json_writer.hh"
 
-#include <cstdio>
+#include <charconv>
 #include <limits>
 
 #include "harness/json.hh"
@@ -11,10 +11,14 @@ namespace hpim::harness::json {
 std::string
 numberToString(double value)
 {
+    // Specified to print the characters "%.17g" prints in the "C"
+    // locale, without printf's format parsing.
     char buf[40];
-    std::snprintf(buf, sizeof buf, "%.*g",
-                  std::numeric_limits<double>::max_digits10, value);
-    return buf;
+    char *end = std::to_chars(buf, buf + sizeof buf, value,
+                              std::chars_format::general,
+                              std::numeric_limits<double>::max_digits10)
+                    .ptr;
+    return std::string(buf, end);
 }
 
 Writer::~Writer()

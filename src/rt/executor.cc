@@ -33,6 +33,16 @@ throwTickRange(double seconds)
     throw SimulationRangeError(message.str());
 }
 
+[[noreturn, gnu::cold, gnu::noinline]] void
+throwEventBudget(std::uint64_t budget)
+{
+    throw SimulationRangeError("simulation popped more than its budget of "
+                               + std::to_string(budget) + " events");
+}
+
+static_assert(static_cast<std::size_t>(PlacedOn::FixedHostDriven) == 4,
+              "Executor::_placed holds one count per PlacedOn");
+
 } // namespace
 
 std::string
@@ -134,7 +144,8 @@ Executor::keyStr(const OpKey &key)
 const Operation &
 Executor::op(const OpKey &key) const
 {
-    return _workloads[key.workload].spec.graph->op(key.op);
+    // Op ids are dense by construction (Graph::add assigns them).
+    return _workloads[key.workload].spec.graph->ops()[key.op];
 }
 
 void
@@ -261,7 +272,7 @@ Executor::pushReady(const OpKey &key)
     // attempt of a running op moves it.
     std::uint32_t level = degradeLevel(key);
     if (level > 0) {
-        Signature sig = _ready[index].sig;
+        PlacementSignature sig = _ready[index].sig;
         sig.level = level;
         index = queueFor(normalized(sig));
     }
@@ -277,25 +288,26 @@ Executor::pushReady(const OpKey &key)
 }
 
 std::uint32_t
-Executor::queueFor(const Signature &sig)
+Executor::queueFor(const PlacementSignature &sig)
 {
     for (std::uint32_t i = 0; i < _ready.size(); ++i) {
         if (_ready[i].sig == sig)
             return i;
     }
-    _ready.push_back(ReadyQueue{sig, {}, std::nullopt, 0});
+    _ready.emplace_back().sig = sig;
     return static_cast<std::uint32_t>(_ready.size() - 1);
 }
 
-Executor::Signature
-Executor::normalized(Signature sig) const
+PlacementSignature
+Executor::normalized(PlacementSignature sig) const
 {
     sig.level = std::min(sig.level, 2u);
-    // Only decidePlacement()'s free-tree test reads the width, and
-    // only for managed, undegraded ops on a system with a pool: the
-    // fixed-function class always, the recursive class when the host
-    // feeds the pool (static placement, or dynamic without RC). Every
-    // other op gets 0, so widths do not split its signature.
+    // Only the view's tree bit reads the width, and decidePlacement()
+    // reads that bit only for managed, undegraded ops on a system with
+    // a pool: the fixed-function class always, the recursive class
+    // when the host feeds the pool (static placement, or dynamic
+    // without RC). Every other op gets 0, so widths do not split its
+    // signature.
     bool tests_pool =
         _config.hasFixedPim && sig.managed && sig.level == 0
         && (sig.cls == OffloadClass::FixedFunction
@@ -309,67 +321,80 @@ Executor::normalized(Signature sig) const
 }
 
 std::optional<PlacedOn>
-Executor::decidePlacement(const Signature &sig) const
+decidePlacement(const SystemConfig &config, const PlacementSignature &sig,
+                unsigned view)
 {
     OffloadClass cls = sig.cls;
-    bool has_fixed = _config.hasFixedPim;
-    bool has_progr = _config.hasProgrPim && _progr_free > 0;
-    bool fixed_tree_free =
-        has_fixed && _fixed_capacity > 0
-        && _fixed_free >= std::min(sig.unitsPerLane, _fixed_capacity);
+    bool cpu_busy = view & DeviceView::cpuBusy;
+    bool has_fixed = config.hasFixedPim;
+    bool has_progr = config.hasProgrPim && (view & DeviceView::progrFree);
+    bool fixed_tree_free = has_fixed && (view & DeviceView::treeFree);
 
-    if (faultsOn()) {
+    if (config.faults.enabled) {
         std::uint32_t level = sig.level;
         // With every pool bank permanently failed, fixed-destined ops
         // skip straight to the next rung instead of waiting forever.
-        if (level == 0 && has_fixed && _fixed_alive == 0
+        if (level == 0 && has_fixed && (view & DeviceView::poolFailed)
             && (cls == OffloadClass::FixedFunction
                 || cls == OffloadClass::Recursive)) {
             level = 1;
         }
-        if (level > 0)
-            return ladderPlacement(cls, level);
+        if (level > 0) {
+            // Rung 1 is the programmable PIM -- unless the op started
+            // there (ProgrammableOnly / DataMovement classes), in which
+            // case the first drop already lands on the host.
+            bool progr_rung = config.hasProgrPim
+                              && cls != OffloadClass::ProgrammableOnly
+                              && cls != OffloadClass::DataMovement;
+            if (level == 1 && progr_rung) {
+                return has_progr ? std::optional(PlacedOn::ProgrPim)
+                                 : std::nullopt;
+            }
+            // Final rung: the host CPU, which never faults, so every
+            // op eventually completes.
+            return cpu_busy ? std::nullopt : std::optional(PlacedOn::Cpu);
+        }
     }
 
     // Guest workloads (mixed-workload co-run): CPU or progr PIM only.
     if (!sig.managed) {
-        if (!_cpu_busy)
+        if (!cpu_busy)
             return PlacedOn::Cpu;
         if (has_progr)
             return PlacedOn::ProgrPim;
         return std::nullopt;
     }
 
-    if (!_config.dynamicScheduling) {
+    if (!config.dynamicScheduling) {
         // Static class-based placement (non-scheduled baselines).
-        if (_config.hasProgrPim && !_config.hasFixedPim) {
+        if (config.hasProgrPim && !config.hasFixedPim) {
             // Progr-PIM-only: everything runs on programmable cores.
             return has_progr ? std::optional(PlacedOn::ProgrPim)
                              : std::nullopt;
         }
         switch (cls) {
           case OffloadClass::FixedFunction:
-            if (_config.hasFixedPim)
+            if (config.hasFixedPim)
                 return fixed_tree_free
                            ? std::optional(PlacedOn::FixedPool)
                            : std::nullopt;
             break;
           case OffloadClass::Recursive:
-            if (_config.hasFixedPim) {
+            if (config.hasFixedPim) {
                 // Host feeds extracted regions; needs CPU + trees.
-                if (!_cpu_busy && fixed_tree_free)
+                if (!cpu_busy && fixed_tree_free)
                     return PlacedOn::FixedHostDriven;
                 return std::nullopt;
             }
             break;
           case OffloadClass::ProgrammableOnly:
           case OffloadClass::DataMovement:
-            if (_config.hasProgrPim)
+            if (config.hasProgrPim)
                 return has_progr ? std::optional(PlacedOn::ProgrPim)
                                  : std::nullopt;
             break;
         }
-        return _cpu_busy ? std::nullopt : std::optional(PlacedOn::Cpu);
+        return cpu_busy ? std::nullopt : std::optional(PlacedOn::Cpu);
     }
 
     // ---- Dynamic scheduling (paper SectionIII-C step 2).
@@ -377,7 +402,7 @@ Executor::decidePlacement(const Signature &sig) const
         // Class-1/4 ops stay on the CPU unless it is busy and PIMs
         // idle ("we can offload them when there are idling hardware
         // units in PIMs").
-        if (!_cpu_busy)
+        if (!cpu_busy)
             return PlacedOn::Cpu;
         if (cls == OffloadClass::FixedFunction && fixed_tree_free)
             return PlacedOn::FixedPool;
@@ -396,24 +421,24 @@ Executor::decidePlacement(const Signature &sig) const
         // Principle 1: fixed-function PIMs first.
         if (fixed_tree_free)
             return PlacedOn::FixedPool;
-        if (!_cpu_busy && (!_config.hasFixedPim || sig.smallOnCpu))
+        if (!cpu_busy && (!config.hasFixedPim || sig.smallOnCpu))
             return PlacedOn::Cpu;
         return std::nullopt;
       case OffloadClass::Recursive:
-        if (_config.recursiveKernels && has_progr && _config.hasFixedPim)
+        if (config.recursiveKernels && has_progr && config.hasFixedPim)
             return PlacedOn::ProgrRecursive;
-        if (!_config.recursiveKernels && _config.hasFixedPim
-            && !_cpu_busy && fixed_tree_free) {
+        if (!config.recursiveKernels && config.hasFixedPim && !cpu_busy
+            && fixed_tree_free) {
             return PlacedOn::FixedHostDriven;
         }
-        if (!_cpu_busy && (!_config.hasFixedPim || sig.smallOnCpu))
+        if (!cpu_busy && (!config.hasFixedPim || sig.smallOnCpu))
             return PlacedOn::Cpu;
         return std::nullopt;
       case OffloadClass::ProgrammableOnly:
       case OffloadClass::DataMovement:
         if (has_progr)
             return PlacedOn::ProgrPim;
-        if (!_cpu_busy && (!_config.hasProgrPim || sig.smallOnCpu))
+        if (!cpu_busy && (!config.hasProgrPim || sig.smallOnCpu))
             return PlacedOn::Cpu;
         return std::nullopt;
     }
@@ -428,24 +453,6 @@ Executor::degradeLevel(const OpKey &key) const
     const std::vector<std::uint32_t> &degraded =
         _workloads[key.workload].steps[key.step].degraded;
     return degraded.empty() ? 0 : degraded[key.op];
-}
-
-std::optional<PlacedOn>
-Executor::ladderPlacement(OffloadClass cls, std::uint32_t level) const
-{
-    // Rung 1 is the programmable PIM -- unless the op started there
-    // (ProgrammableOnly / DataMovement classes), in which case the
-    // first drop already lands on the host.
-    bool progr_rung = _config.hasProgrPim
-                      && cls != OffloadClass::ProgrammableOnly
-                      && cls != OffloadClass::DataMovement;
-    if (level == 1 && progr_rung) {
-        return _progr_free > 0 ? std::optional(PlacedOn::ProgrPim)
-                               : std::nullopt;
-    }
-    // Final rung: the host CPU, which never faults, so every op
-    // eventually completes.
-    return _cpu_busy ? std::nullopt : std::optional(PlacedOn::Cpu);
 }
 
 void
@@ -465,7 +472,7 @@ Executor::startOp(const OpKey &key, PlacedOn placement)
         st.placement[key.op] = placement;
         st.placementLive[key.op] = 1;
     } else {
-        ++_report.opsByPlacement[placement];
+        ++_placed[static_cast<std::size_t>(placement)];
     }
 
     if (_trace) {
@@ -529,7 +536,7 @@ Executor::dispatchAll()
                     || (pick != nullptr && *pick_it < *it))
                     continue;
                 if (q.epoch != _epoch) {
-                    q.verdict = decidePlacement(q.sig);
+                    q.verdict = verdictNow(q);
                     q.epoch = _epoch;
                     ++_placement_evals;
                 }
@@ -554,11 +561,33 @@ Executor::dispatchAll()
     }
 }
 
+std::optional<PlacedOn>
+Executor::verdictNow(ReadyQueue &queue)
+{
+    unsigned view = 0;
+    if (_cpu_busy)
+        view |= DeviceView::cpuBusy;
+    if (_progr_free > 0)
+        view |= DeviceView::progrFree;
+    if (_fixed_capacity > 0
+        && _fixed_free >= std::min(queue.sig.unitsPerLane, _fixed_capacity))
+        view |= DeviceView::treeFree;
+    if (_fixed_alive == 0)
+        view |= DeviceView::poolFailed;
+    if ((queue.decided >> view & 1u) == 0) {
+        queue.verdicts[view] = decidePlacement(_config, queue.sig, view);
+        queue.decided |= static_cast<std::uint16_t>(1u << view);
+        ++_placement_decisions;
+    }
+    return queue.verdicts[view];
+}
+
 void
 Executor::startOnCpu(const OpKey &key)
 {
     const Operation &o = op(key);
-    auto timing = _cpu_model.opTiming(o.cost);
+    const hpim::cpu::OpTiming &timing =
+        _workloads[key.workload].cpuTiming[key.op];
     double dm = timing.exposedMemorySec();
     double dur = std::max(timing.totalSec(), 1e-12);
 
@@ -871,7 +900,7 @@ Executor::poolDrain()
         hpim::sim::ticksToSeconds(now - _pool_last_update);
     for (FixedPhase &phase : _phases) {
         if (phase.alloc > 0) {
-            phase.remainingFlops -= phaseRate(phase) * elapsed;
+            phase.remainingFlops -= phase.rate * elapsed;
             phase.unitSeconds += phase.alloc * elapsed;
             _report.fixedUnitSeconds += phase.alloc * elapsed;
         }
@@ -902,12 +931,13 @@ Executor::poolReallocate()
     }
     // Pass 2: extra trees, oldest first (current step drains first).
     for (FixedPhase &phase : _phases) {
-        if (phase.alloc == 0)
-            continue;
-        std::uint32_t extra = std::min<std::uint32_t>(
-            phase.maxTrees - 1, free / phase.treeUnits);
-        phase.alloc += extra * phase.treeUnits;
-        free -= extra * phase.treeUnits;
+        if (phase.alloc > 0) {
+            std::uint32_t extra = std::min<std::uint32_t>(
+                phase.maxTrees - 1, free / phase.treeUnits);
+            phase.alloc += extra * phase.treeUnits;
+            free -= extra * phase.treeUnits;
+        }
+        phase.rate = phaseRate(phase);
     }
     _fixed_free = free;
 }
@@ -921,8 +951,7 @@ Executor::poolScheduleNext()
     for (const FixedPhase &phase : _phases) {
         if (phase.alloc == 0)
             continue;
-        double eta = std::max(phase.remainingFlops, 0.0)
-                     / phaseRate(phase);
+        double eta = std::max(phase.remainingFlops, 0.0) / phase.rate;
         if (best < 0.0 || eta < best)
             best = eta;
     }
@@ -961,19 +990,25 @@ void
 Executor::onPoolEvent()
 {
     poolDrain();
-    std::vector<FixedPhase> finished;
+    _finished.clear();
     for (auto it = _phases.begin(); it != _phases.end();) {
         if (it->alloc > 0 && it->remainingFlops <= kWorkEpsilon) {
-            finished.push_back(*it);
+            _finished.push_back(*it);
             it = _phases.erase(it);
         } else {
             ++it;
         }
     }
+    // A re-arm: rounding between ticks and seconds fired this event a
+    // few flops early, and it pops again a few ticks later. That grows
+    // with the makespan, not the ops (over 400 re-arms a step for
+    // VGG-19 at 1e6 steps), so it does not count against the budget.
+    if (_finished.empty())
+        ++_event_budget;
     poolReallocate();
     poolScheduleNext();
 
-    for (const FixedPhase &phase : finished) {
+    for (const FixedPhase &phase : _finished) {
         double span = nowSec() - phase.startSec;
         if (phase.faulty)
             _sync_accum += span; // wasted attempt; retry recovers it
@@ -1189,6 +1224,9 @@ Executor::onBankFailed(std::uint32_t bank)
 void
 Executor::onThrottle(std::size_t index, bool start)
 {
+    // Toggles follow the makespan, not the ops: none counts against the
+    // event budget. The chain stops with the last op.
+    ++_event_budget;
     const hpim::sim::ThrottleSpec &spec =
         _fault_model->throttles()[index];
     if (_regs == nullptr || spec.bank >= _regs->banks())
@@ -1300,6 +1338,33 @@ Executor::onOpComplete(const OpKey &key)
     dispatchAll();
 }
 
+std::uint64_t
+Executor::eventBudget(const SystemConfig &config,
+                      const std::vector<WorkloadSpec> &workloads)
+{
+    constexpr std::uint64_t events_per_attempt = 3;
+    // failAttempt() drops a rung after max(maxAttempts, 1) failures.
+    std::uint64_t attempts =
+        config.faults.enabled
+            ? 2 * std::uint64_t{std::max(config.faults.maxAttempts, 1u)}
+                  + 1
+            : 1;
+    std::uint64_t budget = config.faults.enabled
+                               ? config.faults.killBanks
+                               : 0;
+    for (const WorkloadSpec &spec : workloads) {
+        std::uint64_t events = 0;
+        if (__builtin_mul_overflow(std::uint64_t{spec.steps}
+                                       * spec.graph->size(),
+                                   events_per_attempt * attempts,
+                                   &events)
+            || __builtin_add_overflow(budget, events, &budget)) {
+            return ~std::uint64_t{0};
+        }
+    }
+    return budget;
+}
+
 ExecutionReport
 Executor::run(const std::vector<WorkloadSpec> &workloads)
 {
@@ -1329,17 +1394,19 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
         wl.remainingOps.assign(spec.steps, 0);
         const Graph &graph = *spec.graph;
         wl.readyQueue.reserve(graph.size());
-        for (OpId id = 0; id < graph.size(); ++id) {
-            const Operation &o = graph.op(id);
-            Signature sig;
+        wl.cpuTiming.reserve(graph.size());
+        for (const Operation &o : graph.ops()) {
+            hpim::cpu::OpTiming timing = _cpu_model.opTiming(o.cost);
+            PlacementSignature sig;
             sig.cls = opTraits(o.type).offloadClass;
             sig.candidate = _selection == nullptr
                             || _selection->isCandidate(o.type);
-            sig.smallOnCpu = _cpu_model.opSeconds(o.cost)
-                             <= _config.cpuFallbackThresholdSec;
+            sig.smallOnCpu =
+                timing.totalSec() <= _config.cpuFallbackThresholdSec;
             sig.managed = spec.pimManaged;
             sig.unitsPerLane = o.parallelism.unitsPerLane;
             wl.readyQueue.push_back(queueFor(normalized(sig)));
+            wl.cpuTiming.push_back(timing);
         }
         _workloads.push_back(std::move(wl));
     }
@@ -1363,18 +1430,21 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
     // so the allComplete() guard never changes behaviour; with faults
     // on it stops the run before any still-pending throttle window.
     hpim::sim::checkDeadline("simulate");
-    std::uint64_t guard = 50'000'000;
+    _event_budget = eventBudget(_config, workloads);
+    std::uint64_t events = 0;
     while (!allComplete() && _queue.runOne()) {
-        panic_if(--guard == 0, "executor exceeded event budget");
+        if (++events > _event_budget) [[unlikely]]
+            throwEventBudget(_event_budget);
         // Deadline phase boundary: cheap enough to sit in the event
         // loop because 65535 of 65536 iterations only test a counter,
         // and a no-deadline run additionally pays just a TLS load
         // (sim/deadline.hh). Expiry unwinds before the run finalizes,
         // so an aborted run can never publish a partial report.
-        if ((guard & 0xFFFF) == 0)
+        if ((events & 0xFFFF) == 0)
             hpim::sim::checkDeadline("simulate");
     }
     obsCount("rt.sched.placement_evals", _placement_evals);
+    obsCount("rt.sched.placement_decisions", _placement_decisions);
     obsCount("rt.sched.events", _queue.processedCount());
 
     for (const WorkloadState &wl : _workloads) {
@@ -1385,6 +1455,10 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
     }
 
     // ---- Finalize the report.
+    for (std::size_t i = 0; i < _placed.size(); ++i) {
+        if (_placed[i] != 0)
+            _report.opsByPlacement[static_cast<PlacedOn>(i)] = _placed[i];
+    }
     _report.makespanSec = nowSec();
     _report.stepSec =
         _report.makespanSec / _report.stepsSimulated;

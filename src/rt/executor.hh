@@ -21,6 +21,7 @@
 #ifndef HPIM_RT_EXECUTOR_HH
 #define HPIM_RT_EXECUTOR_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -51,6 +52,58 @@ struct SimulationRangeError : std::runtime_error
 {
     using std::runtime_error::runtime_error;
 };
+
+/**
+ * A placement signature: every fact placement reads about an op. Ops
+ * with equal signatures get the same placement under the same device
+ * state, so the executor decides once per signature and device view,
+ * not once per ready op. Each op's signature is computed once, when
+ * Executor::run() starts; a degraded retry gets its rung's signature
+ * when it is re-queued.
+ */
+struct PlacementSignature
+{
+    hpim::nn::OffloadClass cls = hpim::nn::OffloadClass::FixedFunction;
+    bool candidate = true; ///< offload candidate per the selection
+    /** CPU run time is under config.cpuFallbackThresholdSec. */
+    bool smallOnCpu = false;
+    bool managed = true; ///< WorkloadSpec::pimManaged
+    /** Reduction-tree width, clamped to the pool size; 0 where the
+     *  view's tree bit decides nothing, so such ops share one
+     *  signature. decidePlacement() reads the tree bit, never this. */
+    std::uint32_t unitsPerLane = 0;
+    /** Degradation rung, capped at 2: every rung past the first is
+     *  the host CPU. */
+    std::uint32_t level = 0;
+
+    bool operator==(const PlacementSignature &) const = default;
+};
+
+/**
+ * The device state placement reads, as an OR of these bits. Each of
+ * the 16 views indexes one entry of a ready queue's verdict table.
+ */
+struct DeviceView
+{
+    static constexpr unsigned cpuBusy = 1;
+    static constexpr unsigned progrFree = 2; ///< a programmable PIM is idle
+    /** The pool has a free reduction tree of the signature's width. */
+    static constexpr unsigned treeFree = 4;
+    /** Every pool bank has permanently failed (read with faults on). */
+    static constexpr unsigned poolFailed = 8;
+    static constexpr unsigned count = 16;
+};
+
+/**
+ * Where an op of signature @p sig starts on @p config under device
+ * view @p view (paper SectionIII-C's three principles, then the
+ * degradation ladder with faults on), or nullopt when it must wait.
+ * A pure function. Bits @p config cannot produce read as clear: those
+ * of a device it lacks, and the pool-failed bit with faults off.
+ */
+std::optional<PlacedOn> decidePlacement(const SystemConfig &config,
+                                        const PlacementSignature &sig,
+                                        unsigned view);
 
 /** One workload to run (co-run studies pass several). */
 struct WorkloadSpec
@@ -85,6 +138,20 @@ class Executor
     /** Run the workloads to completion and report. */
     ExecutionReport run(const std::vector<WorkloadSpec> &workloads);
 
+    /**
+     * Events run() may pop before it throws SimulationRangeError. Per
+     * op and step: three events per attempt (a launch or control part,
+     * a completion or pool-phase pop, a retry) times the attempts an
+     * op can make -- one without faults; with faults, maxAttempts on
+     * each of the two rungs that can fail, then one on the CPU. Plus
+     * one event per killed bank. Pool re-arms (tick rounding left a
+     * phase a few flops short) and throttle toggles extend the budget
+     * as they happen: they grow with the makespan, not the ops.
+     */
+    static std::uint64_t
+    eventBudget(const SystemConfig &config,
+                const std::vector<WorkloadSpec> &workloads);
+
     /** Convenience: one pim-managed workload. */
     ExecutionReport
     run(const hpim::nn::Graph &graph, std::uint32_t steps = 0)
@@ -101,32 +168,6 @@ class Executor
         std::uint32_t workload;
         std::uint32_t step;
         hpim::nn::OpId op;
-    };
-
-    /**
-     * A placement signature: every fact decidePlacement() reads about
-     * an op. Ops with equal signatures get the same placement under
-     * the same device state, so dispatchAll() decides once per
-     * signature, not once per ready op. Each op's signature is
-     * computed once, when run() starts; a degraded retry gets its
-     * rung's signature when it is re-queued.
-     */
-    struct Signature
-    {
-        hpim::nn::OffloadClass cls = hpim::nn::OffloadClass::FixedFunction;
-        bool candidate = true; ///< offload candidate per _selection
-        /** CPU run time is under config.cpuFallbackThresholdSec. */
-        bool smallOnCpu = false;
-        bool managed = true; ///< WorkloadSpec::pimManaged
-        /** Reduction-tree width, clamped to the pool size; 0 when
-         *  placement never tests the pool for a free tree (see
-         *  normalized()), so such ops share one signature. */
-        std::uint32_t unitsPerLane = 0;
-        /** Degradation rung, capped at 2: every rung past the first
-         *  is the host CPU. */
-        std::uint32_t level = 0;
-
-        bool operator==(const Signature &) const = default;
     };
 
     /** A ready op; (rank, seq) orders its dispatch priority. */
@@ -150,9 +191,14 @@ class Executor
     /** The ready ops of one signature, in priority order. */
     struct ReadyQueue
     {
-        Signature sig;
+        PlacementSignature sig;
         std::vector<ReadyOp> ops;
-        /** decidePlacement(sig), valid while @ref epoch is current. */
+        /** decidePlacement(sig, view) by view, filled on first use;
+         *  bit v of @ref decided marks entry v filled. */
+        std::array<std::optional<PlacedOn>, DeviceView::count> verdicts{};
+        std::uint16_t decided = 0;
+        /** The verdict under the current device state, valid while
+         *  @ref epoch is current. */
         std::optional<PlacedOn> verdict;
         std::uint64_t epoch = 0;
     };
@@ -215,6 +261,8 @@ class Executor
         std::uint32_t maxTrees = 1;
         double intensity = 1e9;      ///< flops per byte
         std::uint32_t alloc = 0;     ///< currently allocated units
+        /** phaseRate() at @ref alloc; poolReallocate() sets both. */
+        double rate = 0.0;
         /** Phase is half of a joined (RC / host-driven) op. */
         bool joined = false;
         /** Injected transient fault: completing re-dispatches the op. */
@@ -230,6 +278,8 @@ class Executor
         WorkloadSpec spec;
         /** [op] ready queue of the op's undegraded signature. */
         std::vector<std::uint32_t> readyQueue;
+        /** [op] the op's CPU timing, for startOnCpu(). */
+        std::vector<hpim::cpu::OpTiming> cpuTiming;
         std::vector<StepState> steps;            ///< per step
         std::vector<std::uint32_t> remainingOps; ///< per step
         std::uint32_t completedSteps = 0;
@@ -241,13 +291,15 @@ class Executor
     /** Queue a ready op under its signature, in priority order. */
     void pushReady(const OpKey &key);
     /** Index of the ready queue for @p sig, created on first use. */
-    std::uint32_t queueFor(const Signature &sig);
+    std::uint32_t queueFor(const PlacementSignature &sig);
     /** @p sig with its level capped and its width clamped, or 0
      *  where placement never reads it. */
-    Signature normalized(Signature sig) const;
+    PlacementSignature normalized(PlacementSignature sig) const;
     void dispatchAll();
+    /** @p queue's verdict under the current device view, from its
+     *  table (filled on the view's first use). */
+    std::optional<PlacedOn> verdictNow(ReadyQueue &queue);
     void startOp(const OpKey &key, PlacedOn placement);
-    std::optional<PlacedOn> decidePlacement(const Signature &sig) const;
     void startOnCpu(const OpKey &key);
     void startOnProgr(const OpKey &key, bool recursive);
     void startOnFixed(const OpKey &key);
@@ -265,8 +317,6 @@ class Executor
     void setupFaultLayer();
     void scheduleHealthEvents();
     std::uint32_t degradeLevel(const OpKey &key) const;
-    std::optional<PlacedOn> ladderPlacement(hpim::nn::OffloadClass cls,
-                                            std::uint32_t level) const;
     void failAttempt(const OpKey &key, FailKind kind);
     void onBankFailed(std::uint32_t bank);
     void onThrottle(std::size_t index, bool start);
@@ -306,14 +356,21 @@ class Executor
     /** Bumped whenever device state may have changed; a queue's
      *  verdict from an older epoch is stale. */
     std::uint64_t _epoch = 0;
-    /** decidePlacement() evaluations; run() publishes the total as
+    /** Verdict refreshes; run() publishes the total as
      *  rt.sched.placement_evals. */
     std::uint64_t _placement_evals = 0;
+    /** Verdict-table fills (decidePlacement() calls); published as
+     *  rt.sched.placement_decisions. */
+    std::uint64_t _placement_decisions = 0;
+    /** eventBudget() plus the re-arms and toggles seen so far. */
+    std::uint64_t _event_budget = 0;
 
     // Device state.
     bool _cpu_busy = false;
     std::uint32_t _progr_free = 0;
     std::vector<FixedPhase> _phases;
+    /** onPoolEvent()'s finished phases, kept to reuse its storage. */
+    std::vector<FixedPhase> _finished;
     std::uint32_t _fixed_free = 0;
     hpim::sim::Tick _pool_last_update = 0;
     class PoolEvent;
@@ -334,6 +391,9 @@ class Executor
 
     // Accounting.
     ExecutionReport _report;
+    /** Placement census by PlacedOn; run() copies the non-zero
+     *  counts into _report.opsByPlacement. */
+    std::array<std::uint64_t, 5> _placed{};
     double _op_accum = 0.0;
     double _dm_accum = 0.0;
     double _sync_accum = 0.0;

@@ -13,9 +13,10 @@
  * (step, op) ties and only the order in which equal-priority ops
  * became ready breaks the tie; and the three ScheduleFuzz corpora.
  *
- * Also pins exact work counts -- placement decisions evaluated, events
- * popped, ops completed, retries and report bytes -- so a change that
- * makes the simulator do more work fails here on every machine.
+ * Also pins exact work counts -- placement verdicts refreshed, verdict
+ * table entries filled, events popped, ops completed, retries and
+ * report bytes -- so a change that makes the simulator do more work
+ * fails here on every machine.
  */
 
 #include <gtest/gtest.h>
@@ -294,6 +295,7 @@ TEST(DispatchIdentity, WorkCountersArePinned)
         const char *name;
         rt::ExecutionReport (*run)();
         std::uint64_t placementEvals;
+        std::uint64_t placementDecisions;
         std::uint64_t events;
         std::uint64_t opsCompleted;
         std::uint64_t retries;
@@ -305,13 +307,13 @@ TEST(DispatchIdentity, WorkCountersArePinned)
              return baseline::runSystem(SystemKind::HeteroPim,
                                         ModelId::AlexNet, kSteps);
          },
-         933, 434, 328, 0, 1033},
+         933, 49, 434, 328, 0, 1033},
         {"VGG-19 on Fig. 8 Hetero",
          [] {
              return baseline::runSystem(SystemKind::HeteroPim,
                                         ModelId::Vgg19, kSteps);
          },
-         1581, 1003, 740, 0, 1017},
+         1581, 45, 1003, 740, 0, 1017},
         {"AlexNet, 4 banks killed, 5% transient faults",
          [] {
              serve::SimulateSpec spec;
@@ -322,7 +324,7 @@ TEST(DispatchIdentity, WorkCountersArePinned)
              spec.faultRate = 0.05;
              return serve::runSimulate(spec);
          },
-         405, 239, 164, 3, 1145},
+         405, 38, 239, 164, 3, 1145},
     };
     for (const Row &row : rows) {
         obs::MetricsRegistry registry;
@@ -331,6 +333,10 @@ TEST(DispatchIdentity, WorkCountersArePinned)
         registry.detach();
         EXPECT_EQ(registry.counter("rt.sched.placement_evals").value(),
                   row.placementEvals)
+            << row.name;
+        EXPECT_EQ(
+            registry.counter("rt.sched.placement_decisions").value(),
+            row.placementDecisions)
             << row.name;
         EXPECT_EQ(registry.counter("rt.sched.events").value(),
                   row.events)

@@ -12,8 +12,10 @@
 #include "cpu/cpu_model.hh"
 #include "nn/builder.hh"
 #include "nn/models.hh"
+#include "obs/metrics.hh"
 #include "rt/executor.hh"
 #include "rt/hetero_runtime.hh"
+#include "sim/hash.hh"
 
 using namespace hpim;
 using namespace hpim::rt;
@@ -250,16 +252,23 @@ TEST(Executor, LargeProgrammableOpWithoutProgrPimRunsOnCpu)
 
 namespace {
 
-/** One MatMul of @p flops multiplies and as many adds. */
+/** A chain of @p count MatMuls of @p flops multiplies and as many
+ *  adds each. */
 nn::Graph
-oneLongMatMul(double flops)
+longMatMuls(double flops, std::uint32_t count = 1)
 {
     nn::CostStructure cost;
     cost.muls = flops;
     cost.adds = flops;
     cost.bytesRead = 1e6;
     nn::Graph graph("long-matmul");
-    graph.add(nn::OpType::MatMul, "m", cost, nn::FixedParallelism{4, 1e6});
+    for (nn::OpId id = 0; id < count; ++id) {
+        std::vector<nn::OpId> inputs;
+        if (id > 0)
+            inputs.push_back(id - 1);
+        graph.add(nn::OpType::MatMul, "m", cost,
+                  nn::FixedParallelism{4, 1e6}, inputs);
+    }
     return graph;
 }
 
@@ -270,12 +279,83 @@ TEST(Executor, RunPastTheTickClockThrowsTyped)
     // At 5e19 the op's completion lies past 2^64 ps (~1.845e7 s), which
     // no Tick can hold: a typed error, not a wrapped clock.
     auto config = makeConfig(SystemKind::HeteroPim);
-    EXPECT_THROW(runOn(config, oneLongMatMul(5e19), 1),
+    EXPECT_THROW(runOn(config, longMatMuls(5e19), 1),
                  SimulationRangeError);
     // Just inside the clock the same op completes.
-    auto report = runOn(config, oneLongMatMul(4e19), 1);
+    auto report = runOn(config, longMatMuls(4e19), 1);
     EXPECT_GT(report.makespanSec, 1.8e7);
     EXPECT_LT(report.makespanSec, 1.845e7);
+}
+
+TEST(Executor, EventBudgetScalesWithRequestedWork)
+{
+    // Three events per op attempt. The budgets cover the event counts
+    // DispatchIdentity.WorkCountersArePinned pins (434, 1003 and 239),
+    // and 210000 VGG-19 steps, which the old fixed budget of 50M
+    // events aborted, fit theirs.
+    auto budget = [](const SystemConfig &config, const nn::Graph &graph,
+                     std::uint32_t steps) {
+        WorkloadSpec spec;
+        spec.graph = &graph;
+        spec.steps = steps;
+        return Executor::eventBudget(config, {spec});
+    };
+    const SystemConfig hetero = makeConfig(SystemKind::HeteroPim);
+    const nn::Graph alexnet = nn::buildAlexNet();
+    const nn::Graph vgg19 = nn::buildVgg19();
+    EXPECT_EQ(budget(hetero, alexnet, 4), 3u * 4 * alexnet.size());
+    EXPECT_GE(budget(hetero, alexnet, 4), 434u);
+    EXPECT_GE(budget(hetero, vgg19, 4), 1003u);
+    EXPECT_GT(budget(hetero, vgg19, 210'000), 50'000'000u);
+
+    // With faults: two faulting rungs of maxAttempts (3) attempts and
+    // the CPU, plus one event per killed bank.
+    SystemConfig faulted = hetero;
+    faulted.faults.enabled = true;
+    faulted.faults.killBanks = 4;
+    EXPECT_EQ(budget(faulted, alexnet, 2), 4 + 3u * 7 * 2 * alexnet.size());
+    EXPECT_GE(budget(faulted, alexnet, 2), 239u);
+
+    // Co-run workloads add up; a budget past 2^64 saturates.
+    WorkloadSpec a{&alexnet, 4, true};
+    WorkloadSpec b{&vgg19, 4, false};
+    EXPECT_EQ(Executor::eventBudget(hetero, {a, b}),
+              budget(hetero, alexnet, 4) + budget(hetero, vgg19, 4));
+    faulted.faults.maxAttempts = ~0u;
+    WorkloadSpec huge{&vgg19, (1u << 24) - 1, true};
+    EXPECT_EQ(Executor::eventBudget(faulted, {huge, huge}),
+              ~std::uint64_t{0});
+}
+
+TEST(Executor, PoolReArmsDoNotCountAgainstTheEventBudget)
+{
+    // Near 1.6e7 s one double step of the clock in seconds is about
+    // 1900 ticks, so the pool event fires a few flops early and
+    // re-arms tick by tick, about 200 times per phase. The run pops
+    // far more events than its 300-event budget and still completes.
+    auto config = makeConfig(SystemKind::HeteroPim);
+    nn::Graph graph = longMatMuls(3.5e17, 100);
+    obs::MetricsRegistry registry;
+    registry.attach();
+    auto report = runOn(config, graph, 1);
+    registry.detach();
+    EXPECT_GT(report.makespanSec, 1.5e7);
+    WorkloadSpec spec{&graph, 1, true};
+    EXPECT_EQ(Executor::eventBudget(config, {spec}), 300u);
+    EXPECT_GT(registry.counter("rt.sched.events").value(), 20'000u);
+}
+
+TEST(Executor, ThrottleTogglesDoNotCountAgainstTheEventBudget)
+{
+    // At 128x clock the hottest banks duty-cycle every 2 ms for the
+    // whole run: the toggles follow the makespan, not the ops.
+    auto config = makeConfig(SystemKind::HeteroPim, 128.0);
+    config.faults.enabled = true;
+    nn::Graph graph = nn::buildVgg19();
+    auto report = runOn(config, graph, 4);
+    WorkloadSpec spec{&graph, 4, true};
+    EXPECT_GT(report.throttleEvents,
+              Executor::eventBudget(config, {spec}));
 }
 
 TEST(ExecutorDeath, EmptyWorkloadListIsFatal)
@@ -306,4 +386,176 @@ TEST(ExecutorDeath, RunningTwiceIsFatal)
     executor.run(graph, 1);
     EXPECT_EXIT(executor.run(graph, 1), testing::ExitedWithCode(1),
                 "called twice");
+}
+
+// ---- Placement as a table over device views (rt::decidePlacement).
+
+namespace {
+
+PlacementSignature
+signature(nn::OffloadClass cls, bool candidate, bool small_on_cpu,
+          bool managed = true, std::uint32_t level = 0)
+{
+    PlacementSignature sig;
+    sig.cls = cls;
+    sig.candidate = candidate;
+    sig.smallOnCpu = small_on_cpu;
+    sig.managed = managed;
+    sig.level = level;
+    return sig;
+}
+
+/**
+ * The 16 verdicts of @p sig, one letter per view (c cpu, f fixed pool,
+ * p programmable PIM, r programmable PIM + RC, h host-driven pool,
+ * '.' wait), in four groups of four. Views run in index order: the
+ * group is (tree free, pool failed) = 00, 10, 01, 11, and within a
+ * group (CPU busy, programmable PIM free) = 00, 10, 01, 11.
+ */
+std::string
+verdictRow(const SystemConfig &config, const PlacementSignature &sig)
+{
+    std::string row;
+    for (unsigned view = 0; view < DeviceView::count; ++view) {
+        if (view > 0 && view % 4 == 0)
+            row += ' ';
+        std::optional<PlacedOn> verdict =
+            decidePlacement(config, sig, view);
+        if (!verdict) {
+            row += '.';
+            continue;
+        }
+        switch (*verdict) {
+          case PlacedOn::Cpu:             row += 'c'; break;
+          case PlacedOn::FixedPool:       row += 'f'; break;
+          case PlacedOn::ProgrPim:        row += 'p'; break;
+          case PlacedOn::ProgrRecursive:  row += 'r'; break;
+          case PlacedOn::FixedHostDriven: row += 'h'; break;
+        }
+    }
+    return row;
+}
+
+SystemConfig
+faultedHetero()
+{
+    SystemConfig config = makeConfig(SystemKind::HeteroPim);
+    config.faults.enabled = true;
+    return config;
+}
+
+} // namespace
+
+TEST(ExecutorPlacement, PrinciplesAndLadderRows)
+{
+    using nn::OffloadClass;
+    const SystemConfig hetero = makeConfig(SystemKind::HeteroPim);
+    const SystemConfig no_rc = makeHetero(true, false, true);
+    const SystemConfig faulted = faultedHetero();
+
+    // Principle 1: a fixed-function candidate takes a free tree before
+    // an idle CPU. Principle 2: with no tree free, a small one runs on
+    // the idle CPU rather than leave it idle; a large one waits for
+    // its busy device.
+    EXPECT_EQ(verdictRow(hetero, signature(OffloadClass::FixedFunction,
+                                           true, true)),
+              "c.c. ffff c.c. ffff");
+    EXPECT_EQ(verdictRow(hetero, signature(OffloadClass::FixedFunction,
+                                           true, false)),
+              ".... ffff .... ffff");
+    // A programmable-only candidate likewise waits for its PIM.
+    EXPECT_EQ(verdictRow(hetero, signature(OffloadClass::ProgrammableOnly,
+                                           true, false)),
+              "..pp ..pp ..pp ..pp");
+    // RC: a recursive candidate with a free programmable PIM runs
+    // there and feeds the pool, tree free or not.
+    EXPECT_EQ(verdictRow(hetero, signature(OffloadClass::Recursive, true,
+                                           false)),
+              "..rr ..rr ..rr ..rr");
+    // Without RC the host drives the pool: an idle CPU and a tree.
+    EXPECT_EQ(verdictRow(no_rc, signature(OffloadClass::Recursive, true,
+                                          false)),
+              ".... h.h. .... h.h.");
+    // A non-candidate stays on the CPU and moves only to an idle PIM
+    // while the CPU is busy.
+    EXPECT_EQ(verdictRow(hetero, signature(OffloadClass::FixedFunction,
+                                           false, false)),
+              "c.c. cfcf c.c. cfcf");
+    EXPECT_EQ(verdictRow(hetero, signature(OffloadClass::Recursive, false,
+                                           false)),
+              "c.cp c.cp c.cp c.cp");
+    // A guest workload uses only the CPU and the programmable PIM.
+    EXPECT_EQ(verdictRow(hetero, signature(OffloadClass::FixedFunction,
+                                           true, false, false)),
+              "c.cp c.cp c.cp c.cp");
+
+    // The ladder: rung 1 goes to the programmable PIM and rung 2 to
+    // the CPU; an op that started on the programmable PIM drops
+    // straight to the CPU.
+    EXPECT_EQ(verdictRow(faulted, signature(OffloadClass::FixedFunction,
+                                            true, false, true, 1)),
+              "..pp ..pp ..pp ..pp");
+    EXPECT_EQ(verdictRow(faulted, signature(OffloadClass::FixedFunction,
+                                            true, false, true, 2)),
+              "c.c. c.c. c.c. c.c.");
+    EXPECT_EQ(verdictRow(faulted,
+                         signature(OffloadClass::ProgrammableOnly, true,
+                                   false, true, 1)),
+              "c.c. c.c. c.c. c.c.");
+    // With every bank failed a fixed-destined op skips to rung 1
+    // instead of waiting for trees that will never come back.
+    EXPECT_EQ(verdictRow(faulted, signature(OffloadClass::FixedFunction,
+                                            true, false)),
+              ".... ffff ..pp ..pp");
+    // The pool-failed bit means nothing without faults.
+    EXPECT_EQ(verdictRow(hetero, signature(OffloadClass::FixedFunction,
+                                           true, false, true, 1)),
+              ".... ffff .... ffff");
+}
+
+TEST(ExecutorPlacement, EverySignatureOnEverySystemIsPinned)
+{
+    // Every signature (class x candidate x small-on-CPU x managed x
+    // rung) over all 16 views, folded per system. The rows above spell
+    // out the ones that carry the paper's principles and the ladder.
+    struct System
+    {
+        const char *name;
+        SystemConfig config;
+        std::uint64_t digest;
+    };
+    const System systems[] = {
+        {"Fig. 8 Hetero", makeConfig(SystemKind::HeteroPim),
+         0x335b07f064cdca71ULL},
+        {"Hetero without RC", makeHetero(true, false, true),
+         0xac4dd58f57c09badULL},
+        {"FixedPimOnly", makeConfig(SystemKind::FixedPimOnly),
+         0xe798b057de71b1a5ULL},
+        {"ProgrPimOnly", makeConfig(SystemKind::ProgrPimOnly),
+         0xc297d15116086025ULL},
+        {"faulted Hetero", faultedHetero(),
+         0x20f157edea2fadcfULL},
+    };
+    for (const System &system : systems) {
+        std::string table;
+        for (int cls = 0; cls < 4; ++cls) {
+            for (bool candidate : {false, true}) {
+                for (bool small : {false, true}) {
+                    for (bool managed : {false, true}) {
+                        for (std::uint32_t level = 0; level < 3; ++level) {
+                            table += verdictRow(
+                                system.config,
+                                signature(
+                                    static_cast<nn::OffloadClass>(cls),
+                                    candidate, small, managed, level));
+                            table += '\n';
+                        }
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(sim::hashString(table), system.digest)
+            << system.name << ":\n"
+            << table;
+    }
 }

@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include "baseline/presets.hh"
 #include "harness/json.hh"
+#include "harness/json_writer.hh"
 #include "harness/report_io.hh"
 #include "nn/models.hh"
 #include "obs/metrics.hh"
@@ -241,6 +246,27 @@ TEST(ReportIo, JsonAwkwardDoublesSurviveExactly)
     EXPECT_EQ(out.linkBytes, in.linkBytes);
     EXPECT_EQ(out.edp, in.edp);
     EXPECT_EQ(out.retryBackoffSec, in.retryBackoffSec);
+
+    // The writer's digits are printf's "%.17g", character for
+    // character: for the edge values and for random bit patterns
+    // (NaNs, infinities and subnormals included).
+    auto printf17g = [](double value) {
+        char buf[40];
+        std::snprintf(buf, sizeof buf, "%.17g", value);
+        return std::string(buf);
+    };
+    using limits = std::numeric_limits<double>;
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 0.1 + 0.2, 1.0 / 3.0, 1e-308, 1e16, 1e17,
+        1e21, 12345678.87654321, limits::denorm_min(), limits::min(),
+        limits::max(), limits::lowest(), limits::epsilon(),
+        limits::infinity(), -limits::infinity(), limits::quiet_NaN(),
+        -limits::quiet_NaN()};
+    std::mt19937_64 rng(20);
+    for (int i = 0; i < 100'000; ++i)
+        values.push_back(std::bit_cast<double>(rng()));
+    for (double value : values)
+        ASSERT_EQ(json::numberToString(value), printf17g(value));
 }
 
 TEST(ReportIo, JsonParserRejectsUnknownField)

@@ -703,9 +703,10 @@ TEST(ServeServer, DrainingDaemonRejectsNewWorkTyped)
     RawConn conn(server->socketPath());
 
     // Park a genuinely slow request so the drain stays open while we
-    // poke at it, then stop.
+    // poke at it, then stop. 4001 steps still run when request 2 lands
+    // about 40 ms later (0.1-0.16 s in Release, about 14 s under TSan).
     conn.sendFrame(serve::encodeRequest(
-        simulateRequest(1, "vgg19", 9'001)));
+        simulateRequest(1, "vgg19", 4'001)));
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     server->requestStop();
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -734,17 +735,17 @@ TEST(ServeServer, DrainingDaemonRejectsNewWorkTyped)
 TEST(ServeServer, SimulationOutlastingIoTimeoutStillAnswers)
 {
     // The connection is idle -- nothing to read, nothing to write --
-    // for the whole simulation, several times the IO timeout (~0.6 s
-    // in Release; under ASan ~30 s, inside RawConn's 60 s read
-    // timeout). That is not a stalled write: the response must be
-    // delivered, and no IO timeout counted.
+    // for the whole simulation, several times the IO timeout (0.1-0.16
+    // s in Release, at least 3x; about 14 s under TSan, inside
+    // RawConn's 60 s read timeout). That is not a stalled write: the
+    // response must be delivered, and no IO timeout counted.
     serve::ServerOptions options = smallServer("slowsim");
-    options.ioTimeoutMs = 200.0;
+    options.ioTimeoutMs = 30.0;
     TestServer server(std::move(options));
     RawConn conn(server->socketPath());
 
     conn.sendFrame(serve::encodeRequest(
-        simulateRequest(1, "vgg19", 12'000)));
+        simulateRequest(1, "vgg19", 4'000)));
     auto response = conn.readResponse();
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->id, 1u);
@@ -769,9 +770,11 @@ TEST(ServeServer, DrainGraceHardStopsEndlessWork)
     TestServer server(std::move(options));
     RawConn conn(server->socketPath());
 
-    // A deadline-less request that would run for a very long time.
+    // A deadline-less request that would run for a very long time
+    // (about 0.6 s in Release, far past the 80 ms until the grace
+    // expires); the hard stop cuts it short under any sanitizer.
     conn.sendFrame(serve::encodeRequest(
-        simulateRequest(1, "vgg19", 7'001)));
+        simulateRequest(1, "vgg19", 20'001)));
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     server->requestStop();
 
