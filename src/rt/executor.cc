@@ -1294,7 +1294,7 @@ Executor::onOpComplete(const OpKey &key)
         StepState &st = wl.steps[key.step];
         panic_if(st.placementLive.empty() || !st.placementLive[key.op],
                  "op completed without a recorded placement");
-        ++_report.opsByPlacement[st.placement[key.op]];
+        ++_placed[static_cast<std::size_t>(st.placement[key.op])];
         st.placementLive[key.op] = 0;
     }
 

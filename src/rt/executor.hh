@@ -391,8 +391,9 @@ class Executor
 
     // Accounting.
     ExecutionReport _report;
-    /** Placement census by PlacedOn; run() copies the non-zero
-     *  counts into _report.opsByPlacement. */
+    /** Placement census by PlacedOn, counted at start with faults
+     *  off and at completion with faults on; run() copies the
+     *  non-zero counts into _report.opsByPlacement. */
     std::array<std::uint64_t, 5> _placed{};
     double _op_accum = 0.0;
     double _dm_accum = 0.0;
