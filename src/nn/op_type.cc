@@ -66,6 +66,7 @@ opTraits(OpType type)
 std::optional<OpType>
 opTypeFromName(std::string_view name)
 {
+    // string_view == compares lengths first: no strlen per entry.
     for (std::size_t i = 0; i < numOpTypes; ++i) {
         if (name == kTraits[i].name)
             return static_cast<OpType>(i);

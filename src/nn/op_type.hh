@@ -95,7 +95,7 @@ enum class OffloadClass : std::uint8_t
 /** Static traits of an op type. */
 struct OpTraits
 {
-    const char *name;
+    std::string_view name;
     OffloadClass offloadClass;
     /**
      * Fraction of the op's dynamic work that is NOT plain multiply/add
@@ -116,7 +116,7 @@ std::optional<OpType> opTypeFromName(std::string_view name);
 inline std::string
 opName(OpType type)
 {
-    return opTraits(type).name;
+    return std::string(opTraits(type).name);
 }
 
 /** @return true if the op has an extractable fixed-function portion. */

@@ -213,6 +213,18 @@ TEST(OpTraits, OffloadClassOfEveryOpTypeIsPinned)
     }
 }
 
+TEST(OpTraits, EveryNameRoundTripsAndNearMissesAreUnknown)
+{
+    // The graph-document loader maps op names back to types.
+    for (std::size_t i = 0; i < numOpTypes; ++i) {
+        const auto type = static_cast<OpType>(i);
+        EXPECT_EQ(opTypeFromName(opName(type)), type) << opName(type);
+    }
+    for (const char *name : {"", "matmul", "MatMu", "MatMul ",
+                             "Conv2DBackpropFilterX"})
+        EXPECT_EQ(opTypeFromName(name), std::nullopt) << '"' << name << '"';
+}
+
 TEST(FixedParallelismModel, PaperElevenByElevenExample)
 {
     // Paper SectionIII-C: an 11x11 conv lane occupies 121 multipliers
