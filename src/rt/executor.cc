@@ -516,13 +516,17 @@ Executor::dispatchAll()
     // list would: a cursor walks forward, and each step starts the
     // earliest op at or after it whose signature is placeable now --
     // every op it passes over was unplaceable under that same device
-    // state. Keep sweeping until a sweep places nothing: a dispatch
-    // can free pool units for *earlier* ops (poolReallocate may shrink
-    // an older phase's extra trees when a new phase claims its base
-    // tree), so one sweep is not always a fixed point.
-    bool progress = true;
-    while (progress) {
-        progress = false;
+    // state. A placement only takes devices (the CPU, a programmable
+    // PIM, trees), and taking a device never turns a wait into a
+    // placement, so the ops passed over stay unplaceable. The one
+    // exception is a placement that adds a pool phase now
+    // (ProgrRecursive, FixedHostDriven; FixedPool adds its phase at
+    // launch): poolReallocate may shrink an older phase's extra trees
+    // when the new phase claims its base tree, freeing units for
+    // *earlier* ops. Only then sweep again.
+    bool resweep = true;
+    while (resweep) {
+        resweep = false;
         ReadyOp cursor; // (0, 0) precedes every op
         while (true) {
             ReadyQueue *pick = nullptr;
@@ -554,9 +558,11 @@ Executor::dispatchAll()
                 _live[pick_live] = _live.back();
                 _live.pop_back();
             }
-            startOp(cursor.key, *pick->verdict);
+            const PlacedOn placed = *pick->verdict;
+            startOp(cursor.key, placed);
             ++_epoch;
-            progress = true;
+            resweep = resweep || placed == PlacedOn::ProgrRecursive
+                      || placed == PlacedOn::FixedHostDriven;
         }
     }
 }

@@ -444,6 +444,27 @@ faultedHetero()
     return config;
 }
 
+/** Every signature: class x candidate x small-on-CPU x managed x rung. */
+std::vector<PlacementSignature>
+allSignatures()
+{
+    std::vector<PlacementSignature> all;
+    for (int cls = 0; cls < 4; ++cls) {
+        for (bool candidate : {false, true}) {
+            for (bool small : {false, true}) {
+                for (bool managed : {false, true}) {
+                    for (std::uint32_t level = 0; level < 3; ++level) {
+                        all.push_back(signature(
+                            static_cast<nn::OffloadClass>(cls),
+                            candidate, small, managed, level));
+                    }
+                }
+            }
+        }
+    }
+    return all;
+}
+
 } // namespace
 
 TEST(ExecutorPlacement, PrinciplesAndLadderRows)
@@ -511,6 +532,41 @@ TEST(ExecutorPlacement, PrinciplesAndLadderRows)
     EXPECT_EQ(verdictRow(hetero, signature(OffloadClass::FixedFunction,
                                            true, false, true, 1)),
               ".... ffff .... ffff");
+}
+
+TEST(ExecutorPlacement, FreeingADeviceNeverBlocksAnOp)
+{
+    // Executor::dispatchAll sweeps the ready queues again only after a
+    // placement that added a pool phase. Every other placement only
+    // takes devices, and that is sound because an op placeable under a
+    // view stays placeable under the view with one more device free:
+    // an idle CPU, a free programmable PIM or a free tree.
+    const std::pair<const char *, SystemConfig> systems[] = {
+        {"Fig. 8 Hetero", makeConfig(SystemKind::HeteroPim)},
+        {"Hetero without RC", makeHetero(true, false, true)},
+        {"FixedPimOnly", makeConfig(SystemKind::FixedPimOnly)},
+        {"ProgrPimOnly", makeConfig(SystemKind::ProgrPimOnly)},
+        {"faulted Hetero", faultedHetero()},
+        {"CpuOnly", makeConfig(SystemKind::CpuOnly)},
+    };
+    const std::vector<PlacementSignature> signatures = allSignatures();
+    ASSERT_EQ(signatures.size(), 96u);
+    for (const auto &[name, config] : systems) {
+        for (const PlacementSignature &sig : signatures) {
+            for (unsigned view = 0; view < DeviceView::count; ++view) {
+                if (!decidePlacement(config, sig, view))
+                    continue;
+                for (unsigned freed :
+                     {view & ~DeviceView::cpuBusy,
+                      view | DeviceView::progrFree,
+                      view | DeviceView::treeFree}) {
+                    EXPECT_TRUE(decidePlacement(config, sig, freed))
+                        << name << ", view " << view << " -> " << freed
+                        << ": " << verdictRow(config, sig);
+                }
+            }
+        }
+    }
 }
 
 TEST(ExecutorPlacement, EverySignatureOnEverySystemIsPinned)
