@@ -610,10 +610,9 @@ printSweepSummary(std::ostream &os, const SweepStats &stats)
         // efficacy here cannot perturb table identity.
         auto cache = hpim::sim::MemoCache::instance().stats();
         os << "[sweep] sim-cache: " << cache.hits << " hits, "
-           << cache.partialHits << " partial, " << cache.misses
-           << " misses, " << cache.insertions << " insertions, "
-           << cache.evictions << " evictions, " << cache.entries
-           << " entries\n";
+           << cache.misses << " misses, " << cache.insertions
+           << " insertions, " << cache.evictions << " evictions, "
+           << cache.entries << " entries\n";
     } else {
         os << "[sweep] sim-cache: disabled\n";
     }

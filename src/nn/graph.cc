@@ -76,20 +76,6 @@ Graph::add(OpType type, std::string label, CostStructure cost,
         h = hashU64(in, h);
     body.signature = h;
 
-    // Position-independent per-op digest: everything that determines
-    // the op's cost on any device model (type, cost fields, fixed
-    // parallelism) and nothing that merely locates or names it
-    // (label, id, inputs). Delta-evaluation keys on it (graph.hh).
-    std::uint64_t op_sig = hashU64(static_cast<std::uint64_t>(type));
-    op_sig = hashDouble(cost.muls, op_sig);
-    op_sig = hashDouble(cost.adds, op_sig);
-    op_sig = hashDouble(cost.specials, op_sig);
-    op_sig = hashDouble(cost.bytesRead, op_sig);
-    op_sig = hashDouble(cost.bytesWritten, op_sig);
-    op_sig = hashU64(parallelism.unitsPerLane, op_sig);
-    op_sig = hashDouble(parallelism.lanes, op_sig);
-    body.opSignatures.push_back(op_sig);
-
     body.ops.push_back(std::move(op));
     return id;
 }

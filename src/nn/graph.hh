@@ -54,7 +54,7 @@ struct Operation
  * A training-step DAG.
  *
  * A value whose copies share one body: name, ops, consumer lists and
- * both signatures. Copying a built model allocates nothing, which is
+ * the signature. Copying a built model allocates nothing, which is
  * what lets sim::MemoCache hand the same graph to every sweep point.
  * Copying marks both graphs shared, and add() on a shared graph
  * clones the body first, so a body that any copy has seen is never
@@ -114,20 +114,6 @@ class Graph
      */
     std::uint64_t signature() const { return _body->signature; }
 
-    /**
-     * Position-independent digest of one op: type, cost structure
-     * (bit patterns) and fixed parallelism -- *not* the label, id or
-     * inputs. Two ops with equal opSignature() cost exactly the same
-     * on any device model, wherever they sit in whichever graph, so
-     * per-op profile/model results memoize on it (the delta-evaluation
-     * sub-key tier, docs/PERFORMANCE.md). Computed by add().
-     */
-    std::uint64_t
-    opSignature(OpId id) const
-    {
-        return _body->opSignatures[checkedIndex(id)];
-    }
-
   private:
     /** Bounds-checked id -> index (panics on a foreign id). */
     std::size_t checkedIndex(OpId id) const;
@@ -139,7 +125,6 @@ class Graph
         std::vector<Operation> ops;
         std::vector<std::vector<OpId>> consumers;
         std::uint64_t signature = 0;
-        std::vector<std::uint64_t> opSignatures;
     };
 
     std::shared_ptr<Body> _body;

@@ -20,10 +20,7 @@ struct Prepared
     std::shared_ptr<const OffloadSelection> selection;
 };
 
-/**
- * Exact digest of every CpuParams field the profiler consumes -- the
- * "everything but the graph" half of the profile keys below.
- */
+/** Exact digest of every CpuParams field the profiler consumes. */
 std::uint64_t
 cpuKey(const hpim::cpu::CpuParams &cpu)
 {
@@ -43,19 +40,10 @@ cpuKey(const hpim::cpu::CpuParams &cpu)
 } // namespace
 
 /**
- * Three memo tiers, coarse to fine, each exact-match on all of its
- * inputs (delta-evaluation, docs/PERFORMANCE.md):
- *
- *  1. "rt.prepared"   (graph, cpu, coverage) -> profile + selection
- *  2. "rt.profile"    (graph, cpu)           -> profile
- *  3. "rt.profile.op" (op signature, cpu)    -> per-op {time, accesses}
- *
- * A sweep point that changes only coverage hits tier 2 and re-derives
- * the (deterministic, cheap) selection; a point that changes the graph
- * or sweeps an orthogonal knob still reuses every op it shares with
- * any earlier point through tier 3. Every tier returns exactly what
- * an identical computation produced, so all cache modes stay
- * byte-identical.
+ * One memo tier, "rt.prepared": (graph, CPU, coverage) -> profile +
+ * selection, exact-match on all three (docs/PERFORMANCE.md). A miss
+ * profiles the whole graph directly: a few divisions per op cost
+ * less than looking each op up, so nothing finer is memoized.
  */
 TrainingResult
 HeteroRuntime::prepare(const Graph &graph) const
@@ -68,28 +56,21 @@ HeteroRuntime::prepare(const Graph &graph) const
         return result;
 
     auto &cache = hpim::sim::MemoCache::instance();
-    std::uint64_t cpu_key = cpuKey(_config.cpu);
-    std::uint64_t profile_key = hashU64(cpu_key,
-                                        hashU64(graph.signature()));
-    std::uint64_t key = hashDouble(_config.offloadCoveragePct,
-                                   profile_key);
+    std::uint64_t key = hashDouble(
+        _config.offloadCoveragePct,
+        hashU64(cpuKey(_config.cpu), hashU64(graph.signature())));
     if (auto hit = cache.find<Prepared>(key, "rt.prepared")) {
         result.profile = hit->profile;
         result.selection = hit->selection;
         return result;
     }
 
-    result.profile = cache.find<ProfileReport>(profile_key, "rt.profile");
-    if (result.profile == nullptr) {
-        // Memo hits above are free; only an actual profile pass is
-        // worth a deadline phase boundary (docs/SERVING.md).
-        hpim::sim::checkDeadline("profile");
-        Profiler profiler{hpim::cpu::CpuModel(_config.cpu)};
-        result.profile = std::make_shared<const ProfileReport>(
-            profiler.profileDelta(graph, cpu_key));
-        cache.put<ProfileReport>(profile_key, "rt.profile",
-                                 result.profile);
-    }
+    // Memo hits above are free; only an actual profile pass is worth
+    // a deadline phase boundary (docs/SERVING.md).
+    hpim::sim::checkDeadline("profile");
+    Profiler profiler{hpim::cpu::CpuModel(_config.cpu)};
+    result.profile =
+        std::make_shared<const ProfileReport>(profiler.profile(graph));
     result.selection = std::make_shared<const OffloadSelection>(
         selectOffloadCandidates(*result.profile,
                                 _config.offloadCoveragePct));

@@ -1,10 +1,7 @@
 #include "rt/profiler.hh"
 
 #include <algorithm>
-#include <map>
-#include <memory>
-
-#include "sim/memo_cache.hh"
+#include <array>
 
 namespace hpim::rt {
 
@@ -34,77 +31,30 @@ ProfileReport::topByAccesses() const
     return sorted;
 }
 
-namespace {
-
-/** Per-op memo value: the two metrics a profile pass computes. */
-struct OpCostSample
-{
-    double timeSec = 0.0;
-    double mainMemoryAccesses = 0.0;
-};
-
-} // namespace
-
 ProfileReport
 Profiler::profile(const Graph &graph) const
 {
-    return profileImpl(graph, nullptr);
-}
-
-ProfileReport
-Profiler::profileDelta(const Graph &graph, std::uint64_t cpu_key) const
-{
-    return profileImpl(graph, &cpu_key);
-}
-
-ProfileReport
-Profiler::profileImpl(const Graph &graph,
-                      const std::uint64_t *cpu_key) const
-{
-    auto &cache = hpim::sim::MemoCache::instance();
+    // Graph order within each type, so every sum is the same double
+    // however the rows are read later.
+    std::array<TypeProfile, hpim::nn::numOpTypes> agg{};
     ProfileReport report;
-    report.ops.reserve(graph.size());
-
-    std::map<OpType, TypeProfile> agg;
     for (const Operation &op : graph.ops()) {
-        OpProfile p;
-        // id/type/label locate the sample in *this* graph and are
-        // filled from the live op; only the position-independent
-        // metrics go through the cache.
-        p.id = op.id;
-        p.type = op.type;
-        p.label = op.label;
-        std::shared_ptr<const OpCostSample> sample;
-        if (cpu_key != nullptr) {
-            sample = cache.findPartial<OpCostSample>(
-                graph.opSignature(op.id), *cpu_key, "rt.profile.op");
-        }
-        if (sample != nullptr) {
-            p.timeSec = sample->timeSec;
-            p.mainMemoryAccesses = sample->mainMemoryAccesses;
-        } else {
-            p.timeSec = _cpu.opSeconds(op.cost);
-            p.mainMemoryAccesses = _cpu.mainMemoryAccesses(op.cost);
-            if (cpu_key != nullptr) {
-                cache.putPartial<OpCostSample>(
-                    graph.opSignature(op.id), *cpu_key, "rt.profile.op",
-                    std::make_shared<const OpCostSample>(OpCostSample{
-                        p.timeSec, p.mainMemoryAccesses}));
-            }
-        }
-        report.totalTimeSec += p.timeSec;
-        report.totalAccesses += p.mainMemoryAccesses;
+        double time = _cpu.opSeconds(op.cost);
+        double accesses = _cpu.mainMemoryAccesses(op.cost);
+        report.totalTimeSec += time;
+        report.totalAccesses += accesses;
 
-        TypeProfile &t = agg[op.type];
-        t.type = op.type;
-        t.timeSec += p.timeSec;
-        t.accesses += p.mainMemoryAccesses;
+        TypeProfile &t = agg[static_cast<std::size_t>(op.type)];
+        t.timeSec += time;
+        t.accesses += accesses;
         ++t.invocations;
-
-        report.ops.push_back(std::move(p));
     }
 
-    for (auto &[type, t] : agg) {
+    for (std::size_t i = 0; i < agg.size(); ++i) {
+        TypeProfile &t = agg[i];
+        if (t.invocations == 0)
+            continue;
+        t.type = static_cast<OpType>(i);
         if (report.totalTimeSec > 0.0)
             t.timePct = 100.0 * t.timeSec / report.totalTimeSec;
         if (report.totalAccesses > 0.0)
@@ -112,6 +62,12 @@ Profiler::profileImpl(const Graph &graph,
         report.byType.push_back(t);
     }
     return report;
+}
+
+ProfileReport
+Profiler::profileDelta(const Graph &graph, std::uint64_t) const
+{
+    return profile(graph);
 }
 
 } // namespace hpim::rt

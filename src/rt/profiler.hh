@@ -4,32 +4,21 @@
  *
  * Executes every operation of one training step on the host CPU, one
  * by one (inter-op parallelism disabled for accuracy, SectionII-A),
- * collecting execution time and main-memory access counts -- the two
- * metrics the offload selector consumes. Also produces the per-type
- * aggregation printed in paper Table I.
+ * and sums execution time and main-memory access counts per op type:
+ * the two indices the offload selector ranks types by, and the rows
+ * of paper Table I.
  */
 
 #ifndef HPIM_RT_PROFILER_HH
 #define HPIM_RT_PROFILER_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cpu/cpu_model.hh"
 #include "nn/graph.hh"
 
 namespace hpim::rt {
-
-/** Profile of one operation instance. */
-struct OpProfile
-{
-    hpim::nn::OpId id = hpim::nn::invalidOp;
-    hpim::nn::OpType type = hpim::nn::OpType::MatMul;
-    std::string label;
-    double timeSec = 0.0;
-    double mainMemoryAccesses = 0.0;
-};
 
 /** Per-op-type aggregation (paper Table I rows). */
 struct TypeProfile
@@ -45,8 +34,8 @@ struct TypeProfile
 /** Complete profiling result for one step. */
 struct ProfileReport
 {
-    std::vector<OpProfile> ops;        ///< per instance, graph order
-    std::vector<TypeProfile> byType;   ///< aggregated, arbitrary order
+    /** One row per op type present, in OpType order. */
+    std::vector<TypeProfile> byType;
     double totalTimeSec = 0.0;
     double totalAccesses = 0.0;
 
@@ -62,26 +51,21 @@ class Profiler
   public:
     explicit Profiler(const hpim::cpu::CpuModel &cpu) : _cpu(cpu) {}
 
-    /** Profile one training step of @p graph on the CPU. */
+    /**
+     * Profile one training step of @p graph on the CPU: one pass in
+     * graph order adds each op's roofline time and main-memory
+     * accesses into its type's row and into the totals. The pass
+     * costs a few divisions per op, less than a memo lookup would
+     * (docs/PERFORMANCE.md), so nothing per op is memoized;
+     * HeteroRuntime memoizes whole profiles instead.
+     */
     ProfileReport profile(const hpim::nn::Graph &graph) const;
 
-    /**
-     * Like profile(), but reuses per-op samples through the
-     * sim::MemoCache partial tier (delta-evaluation,
-     * docs/PERFORMANCE.md): each op's {time, accesses} pair is keyed
-     * on its position-independent Graph::opSignature() plus
-     * @p cpu_key, the caller's exact digest of every CpuParams field.
-     * A partial hit returns the bit-identical pair an identical
-     * (cost, CPU) computation produced, so the report matches
-     * profile() byte for byte; only the work is saved.
-     */
+    /** profile(); @p cpu_key is unused (perfbench calls this). */
     ProfileReport profileDelta(const hpim::nn::Graph &graph,
                                std::uint64_t cpu_key) const;
 
   private:
-    ProfileReport profileImpl(const hpim::nn::Graph &graph,
-                              const std::uint64_t *cpu_key) const;
-
     hpim::cpu::CpuModel _cpu;
 };
 

@@ -50,7 +50,7 @@ MemoCache::active()
 }
 
 std::shared_ptr<const void>
-MemoCache::lookup(std::uint64_t key, bool partial)
+MemoCache::lookup(std::uint64_t key)
 {
     if (!active())
         return nullptr;
@@ -63,11 +63,21 @@ MemoCache::lookup(std::uint64_t key, bool partial)
     }
     if (found == nullptr)
         _misses.fetch_add(1, std::memory_order_relaxed);
-    else if (partial)
-        _partial_hits.fetch_add(1, std::memory_order_relaxed);
     else
         _hits.fetch_add(1, std::memory_order_relaxed);
     return found;
+}
+
+std::uint64_t
+MemoCache::trimLocked()
+{
+    std::uint64_t evicted = 0;
+    while (_max_entries != 0 && _entries.size() > _max_entries) {
+        _entries.erase(_insertion_order.front());
+        _insertion_order.pop_front();
+        ++evicted;
+    }
+    return evicted;
 }
 
 void
@@ -83,15 +93,8 @@ MemoCache::insert(std::uint64_t key, std::shared_ptr<const void> value)
         // so which one sticks cannot matter.
         if (!_entries.emplace(key, std::move(value)).second)
             return;
-        if (_max_entries != 0) {
-            _insertion_order.push_back(key);
-            while (_entries.size() > _max_entries
-                   && !_insertion_order.empty()) {
-                _entries.erase(_insertion_order.front());
-                _insertion_order.pop_front();
-                ++evicted;
-            }
-        }
+        _insertion_order.push_back(key);
+        evicted = trimLocked();
     }
     _insertions.fetch_add(1, std::memory_order_relaxed);
     if (evicted != 0)
@@ -105,19 +108,7 @@ MemoCache::setMaxEntries(std::size_t max)
     {
         std::lock_guard<std::mutex> lock(_mutex);
         _max_entries = max;
-        if (max == 0) {
-            _insertion_order.clear();
-        } else {
-            // Entries inserted while unbounded carry no order record;
-            // keep them (they can only serve hits) and start tracking
-            // order from here, trimming any tracked overflow.
-            while (_entries.size() > _max_entries
-                   && !_insertion_order.empty()) {
-                _entries.erase(_insertion_order.front());
-                _insertion_order.pop_front();
-                ++evicted;
-            }
-        }
+        evicted = trimLocked();
     }
     if (evicted != 0)
         _evictions.fetch_add(evicted, std::memory_order_relaxed);
@@ -136,7 +127,6 @@ MemoCache::stats() const
     Stats s;
     s.hits = _hits.load(std::memory_order_relaxed);
     s.misses = _misses.load(std::memory_order_relaxed);
-    s.partialHits = _partial_hits.load(std::memory_order_relaxed);
     s.insertions = _insertions.load(std::memory_order_relaxed);
     s.evictions = _evictions.load(std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(_mutex);
@@ -152,7 +142,6 @@ MemoCache::clear()
     _insertion_order.clear();
     _hits.store(0, std::memory_order_relaxed);
     _misses.store(0, std::memory_order_relaxed);
-    _partial_hits.store(0, std::memory_order_relaxed);
     _insertions.store(0, std::memory_order_relaxed);
     _evictions.store(0, std::memory_order_relaxed);
 }

@@ -10,7 +10,9 @@
  * hash of *all* inputs (sim/hash.hh) and reuses them on exact match
  * only, so cached and uncached runs are bit-identical by
  * construction -- a hit returns the very object an identical
- * computation produced.
+ * computation produced. Entries hold whole results (a built graph, a
+ * prepared profile and selection), never per-op pieces: one op's
+ * analytic cost takes a few divisions, less than a lookup.
  *
  * Two rules keep that guarantee honest:
  *  - exact-match keys: every input that can influence the result is
@@ -82,43 +84,12 @@ class MemoCache
     }
 
     /**
-     * Partial-key tier (delta-evaluation, docs/PERFORMANCE.md).
-     *
-     * A partial entry is keyed on a (primary, sub) pair: @p primary
-     * identifies the invariant part of the computation (e.g. a
-     * position-independent op signature) and @p sub the remaining
-     * inputs (e.g. the CPU-model slice). Both halves are still hashed
-     * exactly, so a hit is still the result of an identical
-     * computation -- "partial" refers to reusing one op's result
-     * while the rest of the point changed, never to approximate
-     * matching. Hits here count as partialHits, not hits, so the
-     * delta tier's efficacy is visible on its own.
-     */
-    template <typename T>
-    std::shared_ptr<const T>
-    findPartial(std::uint64_t primary, std::uint64_t sub,
-                const char *tag)
-    {
-        return std::static_pointer_cast<const T>(
-            lookup(mix(hashU64(sub, hashU64(primary)), tag),
-                   /*partial=*/true));
-    }
-
-    /** Insert into the partial-key tier (no-op while inactive). */
-    template <typename T>
-    void
-    putPartial(std::uint64_t primary, std::uint64_t sub,
-               const char *tag, std::shared_ptr<const T> value)
-    {
-        insert(mix(hashU64(sub, hashU64(primary)), tag),
-               std::move(value));
-    }
-
-    /**
      * Bound the entry count; 0 (default) means unbounded. When full,
-     * the oldest inserted entry is evicted first. Eviction can only
-     * cost future hits, never change a result: a hit still returns
-     * what the identical computation produced.
+     * the oldest inserted entry is evicted first. Every insertion is
+     * ordered, capped or not, so a cap set on a warm cache trims it
+     * oldest-first at once, and lifting the cap keeps the order.
+     * Eviction can only cost future hits, never change a result: a
+     * hit still returns what the identical computation produced.
      */
     void setMaxEntries(std::size_t max);
     std::size_t maxEntries() const;
@@ -127,6 +98,8 @@ class MemoCache
     {
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
+        /** Always 0: no tier hits partially any more. Kept because
+         *  serve `stats` (protocol v1) and perfbench report it. */
         std::uint64_t partialHits = 0;
         std::uint64_t insertions = 0;
         std::uint64_t evictions = 0;
@@ -144,21 +117,22 @@ class MemoCache
     static std::uint64_t mix(std::uint64_t key, const char *tag)
     { return hashString(tag, hashU64(key)); }
 
-    std::shared_ptr<const void> lookup(std::uint64_t key,
-                                       bool partial = false);
+    std::shared_ptr<const void> lookup(std::uint64_t key);
     void insert(std::uint64_t key, std::shared_ptr<const void> value);
+    /** Evict oldest-first down to the cap; @return how many. */
+    std::uint64_t trimLocked();
 
     mutable std::mutex _mutex;
     std::unordered_map<std::uint64_t, std::shared_ptr<const void>>
         _entries;
-    std::deque<std::uint64_t> _insertion_order; ///< only when capped
+    /** Every key of _entries, oldest insertion first. */
+    std::deque<std::uint64_t> _insertion_order;
     std::size_t _max_entries = 0;
     // Always-on counters: plain relaxed atomics so the [sweep] footer
     // and the serve stats endpoint can report cache efficacy without
     // any obs attachment (which would suspend the cache itself).
     std::atomic<std::uint64_t> _hits{0};
     std::atomic<std::uint64_t> _misses{0};
-    std::atomic<std::uint64_t> _partial_hits{0};
     std::atomic<std::uint64_t> _insertions{0};
     std::atomic<std::uint64_t> _evictions{0};
 };

@@ -23,7 +23,7 @@ TEST(HeteroRuntime, TrainProfilesWhenSchedulingEnabled)
     auto result = runtime.train(nn::buildDcgan());
     ASSERT_NE(result.profile, nullptr);
     ASSERT_NE(result.selection, nullptr);
-    EXPECT_FALSE(result.profile->ops.empty());
+    EXPECT_FALSE(result.profile->byType.empty());
     EXPECT_FALSE(result.selection->candidates.empty());
     EXPECT_GE(result.selection->coveredTimePct,
               config.offloadCoveragePct);

@@ -811,8 +811,9 @@ TEST(ServeServer, SharedMemoCacheServesRepeatsFromMemo)
         harness::json::parse(reply.statsJson);
     // At least the repeat must have hit the process-wide memo cache.
     EXPECT_GE(parsed.at("memo").at("hits").asUInt64(), 1u);
-    // The delta-evaluation counters are part of the stats contract.
-    EXPECT_GE(parsed.at("memo").at("partial_hits").asUInt64(), 0u);
+    // partial_hits stays in the protocol v1 stats and reads 0: no
+    // memo tier hits partially.
+    EXPECT_EQ(parsed.at("memo").at("partial_hits").asUInt64(), 0u);
     EXPECT_GE(parsed.at("memo").at("evictions").asUInt64(), 0u);
     // No cap was configured for this daemon.
     EXPECT_EQ(parsed.at("memo").at("max_entries").asUInt64(), 0u);
