@@ -34,8 +34,8 @@ ProfileReport::topByAccesses() const
 ProfileReport
 Profiler::profile(const Graph &graph) const
 {
-    // Graph order within each type, so every sum is the same double
-    // however the rows are read later.
+    // Sum in graph order: floating-point sums depend on order, and
+    // Table I and the selector's ranking read these exact doubles.
     std::array<TypeProfile, hpim::nn::numOpTypes> agg{};
     ProfileReport report;
     for (const Operation &op : graph.ops()) {

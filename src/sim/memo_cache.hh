@@ -119,7 +119,8 @@ class MemoCache
 
     std::shared_ptr<const void> lookup(std::uint64_t key);
     void insert(std::uint64_t key, std::shared_ptr<const void> value);
-    /** Evict oldest-first down to the cap; @return how many. */
+    /** With _mutex held: evict oldest-first down to the cap.
+     *  @return how many entries went. */
     std::uint64_t trimLocked();
 
     mutable std::mutex _mutex;
