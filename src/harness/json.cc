@@ -1,5 +1,6 @@
 #include "harness/json.hh"
 
+#include <array>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +23,14 @@ kindName(Value::Kind kind)
     }
     return "?";
 }
+
+/** The bytes that end a plain run inside a string: the closing
+ *  quote, an escape, and a raw newline (an error). */
+constexpr auto kStringStop = [] {
+    std::array<bool, 256> stop{};
+    stop['"'] = stop['\\'] = stop['\n'] = true;
+    return stop;
+}();
 
 } // namespace
 
@@ -54,11 +63,14 @@ class Parser
     void
     skipSpace()
     {
-        while (_p != _end && (*_p == ' ' || *_p == '\t' || *_p == '\n'
-                              || *_p == '\r')) {
+        // Every whitespace byte is at most ' ', so compact text leaves
+        // at the first compare.
+        for (; _p != _end && static_cast<unsigned char>(*_p) <= ' ';
+             ++_p) {
             if (*_p == '\n')
                 ++_line;
-            ++_p;
+            else if (*_p != ' ' && *_p != '\t' && *_p != '\r')
+                return;
         }
     }
 
@@ -234,7 +246,7 @@ class Parser
     {
         expect('"');
         char *const start = _p;
-        while (_p != _end && *_p != '"' && *_p != '\\' && *_p != '\n')
+        while (_p != _end && !kStringStop[static_cast<unsigned char>(*_p)])
             ++_p;
         char *out = _p;
         for (;;) {
@@ -401,6 +413,27 @@ double
 Value::asDouble() const
 {
     const std::string_view token = numberText();
+    // An optional '-' and 1-19 digits is an exact uint64; converting
+    // it rounds to nearest, as from_chars does, so the double is the
+    // same bit for bit. Most numbers in a graph document take this
+    // path.
+    const bool negative = token.front() == '-';
+    const std::size_t digits = token.size() - negative;
+    if (digits - 1 < 19) {
+        std::uint64_t integer = 0;
+        std::size_t i = negative;
+        for (; i < token.size(); ++i) {
+            const unsigned digit =
+                static_cast<unsigned char>(token[i]) - '0';
+            if (digit > 9)
+                break;
+            integer = integer * 10 + digit;
+        }
+        if (i == token.size()) {
+            const double value = static_cast<double>(integer);
+            return negative ? -value : value;
+        }
+    }
     const char *const end = token.data() + token.size();
     double value = 0.0;
     auto [stop, ec] = std::from_chars(token.data(), end, value);

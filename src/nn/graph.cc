@@ -1,10 +1,62 @@
 #include "nn/graph.hh"
 
 #include <algorithm>
+#include <bit>
+#include <string_view>
 
 #include "sim/logging.hh"
 
 namespace hpim::nn {
+
+namespace {
+
+/**
+ * Fold one 64-bit word into @p hash: a multiply carries low bits up,
+ * the xorshift carries high bits down. For a fixed @p hash distinct
+ * words give distinct results, and for a fixed word distinct hashes
+ * do, so changing any one field of a graph changes its signature.
+ */
+std::uint64_t
+fold(std::uint64_t hash, std::uint64_t word)
+{
+    hash = (hash ^ word) * 0x9e3779b97f4a7c15ULL;
+    return hash ^ (hash >> 32);
+}
+
+std::uint64_t
+foldDouble(std::uint64_t hash, double value)
+{
+    return fold(hash, std::bit_cast<std::uint64_t>(value));
+}
+
+/** @return up to 8 bytes at @p bytes as a little-endian word, so the
+ *  fold is the same on every host. */
+std::uint64_t
+littleEndianWord(const char *bytes, std::size_t count)
+{
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < count; ++i)
+        word |= std::uint64_t(static_cast<unsigned char>(bytes[i]))
+                << (8 * i);
+    return word;
+}
+
+/** Fold @p text's length, then its bytes 8 at a time (the last word
+ *  zero-padded; the length tells "ab" from "ab\0"). */
+std::uint64_t
+foldText(std::uint64_t hash, std::string_view text)
+{
+    hash = fold(hash, text.size());
+    std::size_t i = 0;
+    for (; i + 8 <= text.size(); i += 8)
+        hash = fold(hash, littleEndianWord(text.data() + i, 8));
+    if (i < text.size())
+        hash = fold(hash, littleEndianWord(text.data() + i,
+                                           text.size() - i));
+    return hash;
+}
+
+} // namespace
 
 Graph::Graph(std::string name) : _body(std::make_shared<Body>())
 {
@@ -27,9 +79,8 @@ Graph::operator=(const Graph &other) noexcept
     return *this;
 }
 
-OpId
-Graph::add(OpType type, std::string label, CostStructure cost,
-           FixedParallelism parallelism, std::vector<OpId> inputs)
+Graph::Body &
+Graph::ownBody()
 {
     // Not use_count(): it reads the count without acquiring, so a
     // count of one would not order this write after the reads of a
@@ -38,7 +89,20 @@ Graph::add(OpType type, std::string label, CostStructure cost,
         _body = std::make_shared<Body>(*_body);
         _shared.store(false, std::memory_order_relaxed);
     }
-    Body &body = *_body;
+    return *_body;
+}
+
+void
+Graph::reserve(std::size_t ops)
+{
+    ownBody().ops.reserve(ops);
+}
+
+OpId
+Graph::add(OpType type, std::string label, CostStructure cost,
+           FixedParallelism parallelism, std::vector<OpId> inputs)
+{
+    Body &body = ownBody();
 
     OpId id = static_cast<OpId>(body.ops.size());
     for (OpId in : inputs) {
@@ -54,26 +118,20 @@ Graph::add(OpType type, std::string label, CostStructure cost,
     op.parallelism = parallelism;
     op.inputs = std::move(inputs);
 
-    body.consumers.emplace_back();
-    for (OpId in : op.inputs)
-        body.consumers[in].push_back(id);
-
     // Fold this op into the structural signature (see graph.hh).
-    using hpim::sim::hashDouble;
-    using hpim::sim::hashString;
-    using hpim::sim::hashU64;
-    std::uint64_t h = hashU64(static_cast<std::uint64_t>(type),
-                              body.signature);
-    h = hashString(op.label, h);
-    h = hashDouble(cost.muls, h);
-    h = hashDouble(cost.adds, h);
-    h = hashDouble(cost.specials, h);
-    h = hashDouble(cost.bytesRead, h);
-    h = hashDouble(cost.bytesWritten, h);
-    h = hashU64(parallelism.unitsPerLane, h);
-    h = hashDouble(parallelism.lanes, h);
+    std::uint64_t h =
+        fold(body.signature, static_cast<std::uint64_t>(type));
+    h = foldText(h, op.label);
+    h = foldDouble(h, cost.muls);
+    h = foldDouble(h, cost.adds);
+    h = foldDouble(h, cost.specials);
+    h = foldDouble(h, cost.bytesRead);
+    h = foldDouble(h, cost.bytesWritten);
+    h = fold(h, parallelism.unitsPerLane);
+    h = foldDouble(h, parallelism.lanes);
+    h = fold(h, op.inputs.size());
     for (OpId in : op.inputs)
-        h = hashU64(in, h);
+        h = fold(h, in);
     body.signature = h;
 
     body.ops.push_back(std::move(op));
@@ -149,6 +207,26 @@ Graph::criticalPathLength() const
         longest = std::max(longest, depth[op.id]);
     }
     return longest;
+}
+
+ConsumerLists
+consumerLists(const Graph &graph)
+{
+    ConsumerLists lists;
+    lists.offsets.assign(graph.size() + 1, 0);
+    for (const Operation &op : graph.ops())
+        for (OpId in : op.inputs)
+            ++lists.offsets[in + 1];
+    for (std::size_t i = 1; i < lists.offsets.size(); ++i)
+        lists.offsets[i] += lists.offsets[i - 1];
+    lists.ids.resize(lists.offsets.back());
+    // Filling in op-id order keeps each list in op-id order.
+    std::vector<std::size_t> next(lists.offsets.begin(),
+                                  lists.offsets.end() - 1);
+    for (const Operation &op : graph.ops())
+        for (OpId in : op.inputs)
+            lists.ids[next[in]++] = op.id;
+    return lists;
 }
 
 } // namespace hpim::nn

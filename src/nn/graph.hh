@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,8 +54,7 @@ struct Operation
 /**
  * A training-step DAG.
  *
- * A value whose copies share one body: name, ops, consumer lists and
- * the signature. Copying a built model allocates nothing, which is
+ * A value whose copies share one body: name, ops and the signature. Copying a built model allocates nothing, which is
  * what lets sim::MemoCache hand the same graph to every sweep point.
  * Copying marks both graphs shared, and add() on a shared graph
  * clones the body first, so a body that any copy has seen is never
@@ -78,14 +78,14 @@ class Graph
              FixedParallelism parallelism,
              std::vector<OpId> inputs = {});
 
+    /** Make room for @p ops operations in all, so add() up to that
+     *  count does not reallocate. */
+    void reserve(std::size_t ops);
+
     const Operation &op(OpId id) const;
     std::size_t size() const { return _body->ops.size(); }
     const std::vector<Operation> &ops() const { return _body->ops; }
     const std::string &name() const { return _body->name; }
-
-    /** Consumers of each op (reverse adjacency). */
-    const std::vector<std::vector<OpId>> &consumers() const
-    { return _body->consumers; }
 
     /**
      * @return ids in a valid topological order.
@@ -109,8 +109,9 @@ class Graph
     /**
      * Deterministic structural digest over the name and every op
      * (type, label, cost, parallelism, inputs), folded incrementally
-     * by add(). Two graphs with equal signatures went through the
-     * same construction; sim::MemoCache keys on it.
+     * by add() one 64-bit word per field. Two graphs with equal
+     * signatures went through the same construction, unless 64 bits
+     * collide; sim::MemoCache and sweep journals key on it.
      */
     std::uint64_t signature() const { return _body->signature; }
 
@@ -123,14 +124,37 @@ class Graph
     {
         std::string name;
         std::vector<Operation> ops;
-        std::vector<std::vector<OpId>> consumers;
         std::uint64_t signature = 0;
     };
+
+    /** The body, cloned first if another graph holds or held it. */
+    Body &ownBody();
 
     std::shared_ptr<Body> _body;
     /** Another graph holds, or held, this body (set by copies). */
     mutable std::atomic<bool> _shared{false};
 };
+
+/**
+ * The consumers of every op of one graph (its reverse adjacency) in
+ * two flat arrays. Op i's consumers are ids[offsets[i]] up to
+ * ids[offsets[i + 1]], in op-id order, once per input edge.
+ */
+struct ConsumerLists
+{
+    std::vector<std::size_t> offsets; ///< one per op, plus the end
+    std::vector<OpId> ids;
+
+    /** @return the consumers of op @p id. */
+    std::span<const OpId>
+    of(OpId id) const
+    {
+        return {ids.data() + offsets[id], ids.data() + offsets[id + 1]};
+    }
+};
+
+/** @return the consumer lists of @p graph. */
+ConsumerLists consumerLists(const Graph &graph);
 
 } // namespace hpim::nn
 

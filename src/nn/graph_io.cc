@@ -314,6 +314,7 @@ loadGraph(const std::string &text)
         throw GraphParseError("too many ops", ops.line(), "ops");
 
     Graph graph{std::string(name.asString())};
+    graph.reserve(ops.size());
     std::size_t index = 0;
     for (const Value &op : ops.elements())
         addOp(graph, op, index++);

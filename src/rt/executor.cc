@@ -1314,8 +1314,7 @@ Executor::onOpComplete(const OpKey &key)
 
     obsCount("rt.ops_completed");
 
-    const Graph &graph = *wl.spec.graph;
-    for (OpId consumer : graph.consumers()[key.op]) {
+    for (OpId consumer : wl.consumers.of(key.op)) {
         OpState &cs = wl.steps[key.step].ops[consumer];
         panic_if(cs.remainingDeps == 0, "dependence underflow");
         if (--cs.remainingDeps == 0) {
@@ -1399,6 +1398,7 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
         wl.steps.resize(spec.steps);
         wl.remainingOps.assign(spec.steps, 0);
         const Graph &graph = *spec.graph;
+        wl.consumers = hpim::nn::consumerLists(graph);
         wl.readyQueue.reserve(graph.size());
         wl.cpuTiming.reserve(graph.size());
         for (const Operation &o : graph.ops()) {

@@ -276,6 +276,8 @@ class Executor
     struct WorkloadState
     {
         WorkloadSpec spec;
+        /** The graph's consumer lists, built once per run. */
+        hpim::nn::ConsumerLists consumers;
         /** [op] ready queue of the op's undegraded signature. */
         std::vector<std::uint32_t> readyQueue;
         /** [op] the op's CPU timing, for startOnCpu(). */

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "nn/graph.hh"
 
 using namespace hpim::nn;
@@ -27,6 +32,13 @@ unitPar()
     return fixedParallelism(OpType::MatMul, 4, 10.0);
 }
 
+/** @return the next double above @p x: a one-ulp change. */
+double
+nextUp(double x)
+{
+    return std::nextafter(x, std::numeric_limits<double>::infinity());
+}
+
 } // namespace
 
 TEST(Graph, AddAssignsDenseIds)
@@ -46,9 +58,18 @@ TEST(Graph, ConsumersAreReverseEdges)
     OpId a = g.add(OpType::MatMul, "a", unitCost(), unitPar());
     OpId b = g.add(OpType::Relu, "b", unitCost(), unitPar(), {a});
     OpId c = g.add(OpType::Softmax, "c", unitCost(), unitPar(), {a, b});
-    EXPECT_EQ(g.consumers()[a], (std::vector<OpId>{b, c}));
-    EXPECT_EQ(g.consumers()[b], std::vector<OpId>{c});
-    EXPECT_TRUE(g.consumers()[c].empty());
+    OpId d = g.add(OpType::Add, "d", unitCost(), unitPar(), {c, a, c});
+    const ConsumerLists lists = consumerLists(g);
+    auto consumers = [&lists](OpId id) {
+        const auto of = lists.of(id);
+        return std::vector<OpId>(of.begin(), of.end());
+    };
+    // In op-id order, once per input edge.
+    EXPECT_EQ(consumers(a), (std::vector<OpId>{b, c, d}));
+    EXPECT_EQ(consumers(b), std::vector<OpId>{c});
+    EXPECT_EQ(consumers(c), (std::vector<OpId>{d, d}));
+    EXPECT_TRUE(consumers(d).empty());
+    EXPECT_EQ(lists.offsets.size(), g.size() + 1);
 }
 
 TEST(Graph, CopiesShareOneBodyUntilAdd)
@@ -64,13 +85,14 @@ TEST(Graph, CopiesShareOneBodyUntilAdd)
     EXPECT_NE(&copy.ops(), &original.ops());
     EXPECT_EQ(original.size(), 1u);
     EXPECT_EQ(original.signature(), signature);
-    EXPECT_TRUE(original.consumers()[a].empty());
+    EXPECT_TRUE(consumerLists(original).of(a).empty());
 
     Graph fresh("shared");
     fresh.add(OpType::MatMul, "a", unitCost(), unitPar());
     fresh.add(OpType::Relu, "b", unitCost(), unitPar(), {a});
     EXPECT_EQ(copy.signature(), fresh.signature());
-    EXPECT_EQ(copy.consumers()[a], std::vector<OpId>{b});
+    EXPECT_EQ(consumerLists(copy).of(a).size(), 1u);
+    EXPECT_EQ(consumerLists(copy).of(a)[0], b);
 
     // add() on the source of a copy leaves the copy as it was.
     const Graph snapshot = original;
@@ -83,6 +105,54 @@ TEST(Graph, CopiesShareOneBodyUntilAdd)
     EXPECT_EQ(copy.size(), 2u);
     EXPECT_EQ(copy.signature(), moved.signature());
     EXPECT_EQ(copy.name(), "shared");
+}
+
+TEST(Graph, SignatureSeesEveryField)
+{
+    // The last op of a three-op graph; the fold reads each field.
+    struct Op
+    {
+        OpType type = OpType::MatMul;
+        std::string label = "ab";
+        CostStructure cost = unitCost();
+        FixedParallelism parallelism = unitPar();
+        std::vector<OpId> inputs = {0, 1};
+    };
+    auto signatureOf = [](const Op &last) {
+        Graph g("fields");
+        g.add(OpType::MatMul, "a", unitCost(), unitPar());
+        g.add(OpType::Relu, "b", unitCost(), unitPar(), {0});
+        g.add(last.type, last.label, last.cost, last.parallelism,
+              last.inputs);
+        return g.signature();
+    };
+    const std::uint64_t base = signatureOf(Op{});
+    EXPECT_EQ(signatureOf(Op{}), base);
+
+    const std::vector<std::pair<const char *, void (*)(Op &)>> edits = {
+        {"type", [](Op &o) { o.type = OpType::Relu; }},
+        {"label byte", [](Op &o) { o.label = "ac"; }},
+        {"label length",
+         [](Op &o) { o.label = std::string("ab\0", 3); }},
+        {"muls", [](Op &o) { o.cost.muls = nextUp(o.cost.muls); }},
+        {"adds", [](Op &o) { o.cost.adds = nextUp(o.cost.adds); }},
+        {"specials",
+         [](Op &o) { o.cost.specials = nextUp(o.cost.specials); }},
+        {"bytes_read",
+         [](Op &o) { o.cost.bytesRead = nextUp(o.cost.bytesRead); }},
+        {"bytes_written",
+         [](Op &o) { o.cost.bytesWritten = nextUp(o.cost.bytesWritten); }},
+        {"units_per_lane", [](Op &o) { ++o.parallelism.unitsPerLane; }},
+        {"lanes",
+         [](Op &o) { o.parallelism.lanes = nextUp(o.parallelism.lanes); }},
+        {"one input", [](Op &o) { o.inputs = {0, 0}; }},
+        {"input count", [](Op &o) { o.inputs = {0, 1, 1}; }},
+    };
+    for (const auto &[field, edit] : edits) {
+        Op op;
+        edit(op);
+        EXPECT_NE(signatureOf(op), base) << field;
+    }
 }
 
 TEST(GraphDeath, ForwardReferenceIsFatal)

@@ -551,8 +551,9 @@ TEST(GraphIo, LoadAllocatesAtMostFourTimesPerOp)
 {
     // Global operator new calls made by loadGraph, bounded per op. The
     // parser allocates a few times per document; the rest are the
-    // Graph's own (labels, inputs, consumer lists). The tree reader
-    // this replaced made 13-15 per op.
+    // Graph's own: its body and op array, and per op a label too long
+    // for the string's inline buffer and an inputs array. The tree
+    // reader this replaced made 13-15 per op.
     for (const char *path : {"examples/graphs/transformer_train.json",
                              "examples/graphs/edge_cnn_infer.json"}) {
         const std::string text = readSourceFile(path);
@@ -562,6 +563,50 @@ TEST(GraphIo, LoadAllocatesAtMostFourTimesPerOp)
         EXPECT_LE(allocations, 4 * graph.size())
             << path << ": " << allocations << " allocations for "
             << graph.size() << " ops";
+    }
+}
+
+TEST(GraphIo, LoadAllocationsArePinned)
+{
+    // The exact count, so a new allocation per op or per document
+    // shows up as a test diff. Graphs that stored consumer lists and
+    // grew their op array made 208 and 58.
+    const std::pair<const char *, std::size_t> pins[] = {
+        {"examples/graphs/transformer_train.json", 110},
+        {"examples/graphs/edge_cnn_infer.json", 29},
+    };
+    for (const auto &[path, pinned] : pins) {
+        const std::string text = readSourceFile(path);
+        const std::size_t before = g_allocations.load();
+        const Graph graph = loadGraph(text);
+        EXPECT_EQ(g_allocations.load() - before, pinned) << path;
+    }
+}
+
+TEST(GraphIo, SignaturesArePinned)
+{
+    // Sweep journals and memo keys hold these values, so a change to
+    // the fold in Graph::add shows up here.
+    for (const auto &[model, pinned] :
+         std::vector<std::pair<ModelId, std::uint64_t>>{
+             {ModelId::Vgg19, 999670297502517938ULL},
+             {ModelId::AlexNet, 3859689414574346637ULL},
+             {ModelId::Dcgan, 4032369563633149738ULL},
+             {ModelId::ResNet50, 13145877588736922751ULL},
+             {ModelId::InceptionV3, 15282382747249012573ULL},
+         }) {
+        EXPECT_EQ(buildModel(model).signature(), pinned)
+            << modelName(model);
+    }
+    for (const auto &[path, pinned] :
+         std::vector<std::pair<std::string, std::uint64_t>>{
+             {"examples/graphs/transformer_train.json",
+              11377109895555822359ULL},
+             {"examples/graphs/edge_cnn_infer.json",
+              16332112994085316366ULL},
+         }) {
+        EXPECT_EQ(loadGraph(readSourceFile(path)).signature(), pinned)
+            << path;
     }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -432,6 +433,44 @@ TEST(JsonReader, FlatNodesKeepOrderDuplicatesAndRawNumbers)
     EXPECT_TRUE(root.isNull());
     EXPECT_EQ(moved.at("a").asString(), "q\"\xc3\xa9\n");
     EXPECT_EQ(json::parse("\"solo\"").asString(), "solo");
+}
+
+TEST(JsonReader, IntegerTokensConvertAsFromCharsDoes)
+{
+    // asDouble() converts an optional '-' and 1-19 digits through
+    // uint64_t; every other token goes through from_chars. Both must
+    // give the same double, bit for bit.
+    std::vector<std::string> tokens = {
+        "0",
+        "-0",
+        "007",
+        "9007199254740991",     // 2^53 - 1
+        "9007199254740992",     // 2^53
+        "9007199254740993",     // rounds
+        "-9007199254740993",
+        "9999999999999999999",  // the longest fast-path token
+        "18446744073709551615", // 20 digits: from_chars
+        "99999999999999999999",
+    };
+    std::mt19937_64 rng(0x746f6b656e73ULL);
+    for (int i = 0; i < 20000; ++i) {
+        std::string token = std::to_string(rng() >> (rng() % 64));
+        token.insert(0, rng() % 8 == 0 ? 1 + rng() % 3 : 0, '0');
+        if (rng() % 2)
+            token.insert(0, 1, '-');
+        tokens.push_back(token);
+    }
+    for (const std::string &token : tokens) {
+        const json::Value value = json::parse(token);
+        double expected = 0.0;
+        const auto [end, ec] = std::from_chars(
+            token.data(), token.data() + token.size(), expected);
+        ASSERT_EQ(ec, std::errc()) << token;
+        ASSERT_EQ(end, token.data() + token.size()) << token;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(value.asDouble()),
+                  std::bit_cast<std::uint64_t>(expected))
+            << token;
+    }
 }
 
 // ---- CSV parsing. -------------------------------------------------

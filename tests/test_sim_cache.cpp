@@ -600,9 +600,9 @@ TEST_F(SimCacheTest, ThreadsAddToCopiesOfAMemoizedModel)
     }
     double flops = 0.0;
     for (int round = 0; round < 20; ++round) {
+        const ConsumerLists consumers = consumerLists(memoized);
         for (const Operation &op : memoized.ops())
-            flops += op.cost.flops()
-                     + memoized.consumers()[op.id].size() % 2;
+            flops += op.cost.flops() + consumers.of(op.id).size() % 2;
     }
     for (std::thread &thread : threads)
         thread.join();
