@@ -357,18 +357,12 @@ encodeRequest(const Request &request)
     return out;
 }
 
-Request
-parseRequest(const std::string &payload)
-{
-    json::Value root;
-    try {
-        root = json::parse(payload);
-    } catch (const json::Error &e) {
-        throw ProtocolError(e.what());
-    }
-    if (!root.isObject())
-        throw ProtocolError("request is not a JSON object");
+namespace {
 
+/** parseRequest() past the parse: validate the object @p root. */
+Request
+parseRequestObject(const json::Value &root)
+{
     Request request;
     bool saw_v = false, saw_id = false, saw_kind = false;
     const json::Value *sim_object = nullptr;
@@ -432,6 +426,34 @@ parseRequest(const std::string &payload)
         throw ProtocolError(e.what());
     }
     return request;
+}
+
+} // namespace
+
+Request
+parseRequest(const std::string &payload)
+{
+    json::Value root;
+    try {
+        root = json::parse(payload);
+    } catch (const json::Error &e) {
+        throw ProtocolError(e.what());
+    }
+    if (!root.isObject())
+        throw ProtocolError("request is not a JSON object");
+    try {
+        return parseRequestObject(root);
+    } catch (ProtocolError &e) {
+        // Best-effort id echo, so the client can match the error to
+        // its request even when validation failed late.
+        if (const json::Value *id = root.find("id")) {
+            try {
+                e.id = id->asUInt64();
+            } catch (const json::Error &) {
+            }
+        }
+        throw;
+    }
 }
 
 // -------------------------------------------------------------- responses

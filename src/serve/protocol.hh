@@ -55,6 +55,13 @@ struct ProtocolError : std::runtime_error
         : std::runtime_error("protocol: " + message)
     {
     }
+
+    /**
+     * parseRequest(): the id to echo in the `bad_request` answer --
+     * the first `id` member of an object root read as a uint64, else
+     * 0. Reading it from the one parse spares a second.
+     */
+    std::uint64_t id = 0;
 };
 
 /** Typed rejection codes; stable wire names via errorCodeName(). */
@@ -163,6 +170,7 @@ std::string encodeRequest(const Request &request);
  * unknown/ill-typed/out-of-range sim field, or an unknown model or
  * system name -- the daemon maps the message into a `bad_request`
  * response, so a bad request can never crash or wedge the server.
+ * The error carries the request's best-effort id.
  */
 Request parseRequest(const std::string &payload);
 

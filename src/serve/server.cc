@@ -15,7 +15,6 @@
 #include <unistd.h>
 
 #include "harness/failpoint.hh"
-#include "harness/json.hh"
 #include "harness/json_writer.hh"
 #include "rt/executor.hh"
 #include "serve/io_retry.hh"
@@ -464,17 +463,7 @@ Server::handleFrame(Connection &conn, const std::string &payload)
         request = parseRequest(payload);
     } catch (const ProtocolError &e) {
         _ins->badRequest.add();
-        // Best-effort id echo so the client can match the error to
-        // its request even when validation failed late.
-        std::uint64_t id = 0;
-        try {
-            harness::json::Value root = harness::json::parse(payload);
-            if (root.isObject())
-                if (const harness::json::Value *idv = root.find("id"))
-                    id = idv->asUInt64();
-        } catch (...) {
-        }
-        queueResponse(conn, encodeError(id, ErrorCode::BadRequest,
+        queueResponse(conn, encodeError(e.id, ErrorCode::BadRequest,
                                         e.what()));
         return;
     }

@@ -445,6 +445,25 @@ TEST(ServeServer, BadRequestGetsTypedErrorAndConnectionSurvives)
     EXPECT_EQ(error->code, serve::ErrorCode::BadRequest);
     EXPECT_EQ(error->id, 77u); // best-effort id echo
 
+    // The id is read from the frame's one parse, also when it comes
+    // after a graph document that fails validation.
+    conn.sendFrame("{\"v\":1,\"kind\":\"simulate\",\"sim\":{\"graph\":"
+                   "\"{\\\"schema_version\\\":1}\"},\"id\":79}");
+    error = conn.readResponse();
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->code, serve::ErrorCode::BadRequest);
+    EXPECT_EQ(error->id, 79u);
+    EXPECT_NE(error->message.find("missing field (field 'name')"),
+              std::string::npos)
+        << error->message;
+
+    // A frame that is not JSON has no id to echo.
+    conn.sendFrame("{\"v\":1,\"id\":80,");
+    error = conn.readResponse();
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->code, serve::ErrorCode::BadRequest);
+    EXPECT_EQ(error->id, 0u);
+
     // The stream is still framed correctly: the next request works.
     serve::Request ping;
     ping.id = 78;
