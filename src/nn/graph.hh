@@ -54,8 +54,9 @@ struct Operation
 /**
  * A training-step DAG.
  *
- * A value whose copies share one body: name, ops and the signature. Copying a built model allocates nothing, which is
- * what lets sim::MemoCache hand the same graph to every sweep point.
+ * A value whose copies share one body: name, ops and the signature.
+ * Copying a built model allocates nothing, which is what lets
+ * sim::MemoCache hand the same graph to every sweep point.
  * Copying marks both graphs shared, and add() on a shared graph
  * clones the body first, so a body that any copy has seen is never
  * written again: threads may read and copy one graph while others
