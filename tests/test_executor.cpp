@@ -569,6 +569,57 @@ TEST(ExecutorPlacement, FreeingADeviceNeverBlocksAnOp)
     }
 }
 
+TEST(ExecutorPlacement, NewPoolPhaseFreesTreesForAPassedOp)
+{
+    // The one case dispatchAll sweeps again for. poolReallocate grants
+    // extra trees greedily and in whole trees, so a new phase can
+    // leave more units free than before it started: here an older
+    // phase of tree 4 holds two trees of a 10-unit pool, a recursive
+    // op adds a phase of tree 3, and the older phase's second tree no
+    // longer fits, so 3 units are free where 2 were. The width-3 op
+    // the sweep passed over before the recursive op can then start at
+    // the same tick.
+    SystemConfig config = makeHetero(true, true, false, 1.0, 1);
+    config.fixed.totalUnits = 10;
+    config.steps = 1;
+
+    nn::CostStructure long_work;
+    long_work.muls = long_work.adds = 1e15;
+    long_work.bytesRead = 1e6;
+    nn::CostStructure gate;
+    gate.specials = 1e8;
+    nn::CostStructure wide;
+    wide.muls = wide.adds = 1e12; // too large to run on the CPU
+    wide.bytesRead = 1e6;
+    nn::CostStructure recursive = wide;
+    recursive.specials = 1e6;
+
+    nn::Graph graph("resweep");
+    const nn::OpId older = graph.add(nn::OpType::MatMul, "older",
+                                     long_work, {4, 2.0});
+    const nn::OpId gate_id =
+        graph.add(nn::OpType::Relu, "gate", gate, {1, 1.0});
+    const nn::OpId waiting = graph.add(nn::OpType::MatMul, "waiting",
+                                       wide, {3, 1.0}, {gate_id});
+    const nn::OpId rc = graph.add(nn::OpType::MatMulGradWeights, "rc",
+                                  recursive, {3, 1.0}, {gate_id});
+
+    ScheduleTrace trace;
+    Executor executor(config);
+    executor.attachTrace(&trace);
+    executor.run(graph, 1);
+    std::map<nn::OpId, TraceEntry> by_op;
+    for (const TraceEntry &entry : trace.entries())
+        by_op[entry.opId] = entry;
+    ASSERT_EQ(by_op.size(), graph.size());
+    EXPECT_EQ(by_op[older].placement, PlacedOn::FixedPool);
+    EXPECT_EQ(by_op[gate_id].placement, PlacedOn::ProgrPim);
+    EXPECT_EQ(by_op[rc].placement, PlacedOn::ProgrRecursive);
+    EXPECT_EQ(by_op[waiting].placement, PlacedOn::FixedPool);
+    EXPECT_GT(by_op[rc].startSec, by_op[older].startSec);
+    EXPECT_EQ(by_op[waiting].startSec, by_op[rc].startSec);
+}
+
 TEST(ExecutorPlacement, EverySignatureOnEverySystemIsPinned)
 {
     // Every signature (class x candidate x small-on-CPU x managed x
