@@ -4,7 +4,8 @@
  *
  * One shared primitive for every subsystem that needs a stable,
  * platform-independent 64-bit digest: the sweep journal's grid/point
- * hashes, nn::Graph signatures and the sim::MemoCache keys. All of
+ * hashes, the seed of nn::Graph signatures (Graph::add folds each op
+ * in whole words, nn/graph.cc) and the sim::MemoCache keys. All of
  * them must produce the same value across runs, jobs counts and
  * machines, which rules out std::hash.
  */

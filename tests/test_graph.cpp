@@ -91,8 +91,9 @@ TEST(Graph, CopiesShareOneBodyUntilAdd)
     fresh.add(OpType::MatMul, "a", unitCost(), unitPar());
     fresh.add(OpType::Relu, "b", unitCost(), unitPar(), {a});
     EXPECT_EQ(copy.signature(), fresh.signature());
-    EXPECT_EQ(consumerLists(copy).of(a).size(), 1u);
-    EXPECT_EQ(consumerLists(copy).of(a)[0], b);
+    const ConsumerLists copy_consumers = consumerLists(copy);
+    ASSERT_EQ(copy_consumers.of(a).size(), 1u);
+    EXPECT_EQ(copy_consumers.of(a)[0], b);
 
     // add() on the source of a copy leaves the copy as it was.
     const Graph snapshot = original;
