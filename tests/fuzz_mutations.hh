@@ -12,36 +12,12 @@
 #define HPIM_TESTS_FUZZ_MUTATIONS_HH
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "sim/rng.hh"
 
 namespace hpim::fuzz {
-
-/** The files in @p dir under the source tree, in name order. */
-inline std::vector<std::string>
-readDocuments(const char *dir)
-{
-    std::vector<std::filesystem::path> paths;
-    for (const auto &entry : std::filesystem::directory_iterator(
-             std::filesystem::path(HPIM_SOURCE_DIR) / dir))
-        paths.push_back(entry.path());
-    // Directory order is unspecified; the corpus order is not.
-    std::sort(paths.begin(), paths.end());
-    std::vector<std::string> documents;
-    for (const auto &path : paths) {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream text;
-        text << in.rdbuf();
-        documents.push_back(text.str());
-    }
-    return documents;
-}
 
 /** @return a draw in [0, @p bound), or 0 when @p bound is 0. */
 inline std::size_t

@@ -13,7 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,12 +27,31 @@
 
 using namespace hpim;
 using fuzz::pick;
-using fuzz::readDocuments;
 
 namespace {
 
 constexpr std::uint64_t kFuzzSeed = 0x67726170685f696fULL;
 constexpr std::size_t kIterations = 10000;
+
+/** The documents in @p dir, in name order. */
+std::vector<std::string>
+readDocuments(const char *dir)
+{
+    std::vector<std::filesystem::path> paths;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::filesystem::path(HPIM_SOURCE_DIR) / dir))
+        paths.push_back(entry.path());
+    // Directory order is unspecified; the corpus order is not.
+    std::sort(paths.begin(), paths.end());
+    std::vector<std::string> documents;
+    for (const auto &path : paths) {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        documents.push_back(text.str());
+    }
+    return documents;
+}
 
 } // namespace
 
