@@ -14,7 +14,9 @@ namespace {
  * Fold one 64-bit word into @p hash: a multiply carries low bits up,
  * the xorshift carries high bits down. For a fixed @p hash distinct
  * words give distinct results, and for a fixed word distinct hashes
- * do, so changing any one field of a graph changes its signature.
+ * do, so changing one word of a graph's folded sequence always
+ * changes its signature. A change that also adds or drops words (a
+ * label's length, an input count) changes it unless 64 bits collide.
  */
 std::uint64_t
 fold(std::uint64_t hash, std::uint64_t word)
