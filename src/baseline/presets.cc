@@ -32,7 +32,7 @@ applyStackHost(SystemConfig &config)
     // The host reaches the cube over serial links (4 x 30 GB/s).
     config.cpu.memBandwidth = 120e9;
     config.internalBandwidth = 320e9;
-    config.dramEnergy = hpim::mem::DramEnergyParams::hmc();
+    config.dramEnergy = hpim::rt::DramEnergyParams::hmc();
 }
 
 } // namespace
@@ -81,7 +81,7 @@ makeConfig(SystemKind kind, double freq_scale, std::uint32_t progr_pims)
         config.name = "CPU";
         // Host-only system: DDR4 DIMMs as in paper Table IV.
         config.cpu.memBandwidth = 50e9;
-        config.dramEnergy = hpim::mem::DramEnergyParams::ddr4();
+        config.dramEnergy = hpim::rt::DramEnergyParams::ddr4();
         config.hostCoordinationFloor = 0.0;
         return config;
       }

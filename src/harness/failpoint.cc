@@ -294,12 +294,14 @@ FailPointDetail::parseProgram(const std::string &text,
 void
 configureFailPoints(const std::string &spec)
 {
-    // Parse the whole spec before arming anything, so a malformed
-    // tail never leaves a half-armed chaos program behind.
+    // Parse the whole spec and resolve every site before arming
+    // anything, so a malformed tail or an unknown site never leaves a
+    // half-armed chaos program behind.
     struct Parsed
     {
         std::string site;
         std::unique_ptr<FailPoint::Program> program;
+        FailPoint *target = nullptr;
     };
     std::vector<Parsed> parsed;
     std::size_t pos = 0;
@@ -335,9 +337,12 @@ configureFailPoints(const std::string &spec)
                                  + "' (registered sites: " + known
                                  + ")");
         }
-        delete it->second->_program;
-        it->second->_program = entry.program.release();
-        it->second->_hits = 0;
+        entry.target = it->second;
+    }
+    for (Parsed &entry : parsed) {
+        delete entry.target->_program;
+        entry.target->_program = entry.program.release();
+        entry.target->_hits = 0;
     }
     FailPointDetail::refreshArmedCount();
 }

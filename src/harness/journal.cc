@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "harness/failpoint.hh"
@@ -200,17 +201,28 @@ readJournalHeader(const std::string &path)
     // back so the caller can produce the right diagnostic.
     if (header.schemaVersion != journalSchemaVersion)
         return header;
+    std::uint64_t shard_index = 0;
+    std::uint64_t shard_count = 0;
     try {
         header.baseSeed = root.at("base_seed").asUInt64();
         header.gridHash = root.at("grid_hash").asUInt64();
         header.points = root.at("points").asUInt64();
-        header.shardIndex = static_cast<std::uint32_t>(
-            root.at("shard_index").asUInt64());
-        header.shardCount = static_cast<std::uint32_t>(
-            root.at("shard_count").asUInt64());
+        shard_index = root.at("shard_index").asUInt64();
+        shard_count = root.at("shard_count").asUInt64();
     } catch (const json::Error &e) {
         throw JournalFormatError(e.what(), path);
     }
+    // Shard numbers are 32-bit; a wider one must not wrap into range.
+    auto shardField = [&path](const char *field, std::uint64_t value) {
+        if (value > std::numeric_limits<std::uint32_t>::max())
+            throw JournalFormatError(
+                std::string(field) + " " + std::to_string(value)
+                    + " does not fit in 32 bits",
+                path, field);
+        return static_cast<std::uint32_t>(value);
+    };
+    header.shardIndex = shardField("shard_index", shard_index);
+    header.shardCount = shardField("shard_count", shard_count);
     if (header.shardCount == 0)
         throw JournalFormatError("shard_count must be >= 1", path,
                                  "shard_count");

@@ -8,8 +8,6 @@
 
 namespace hpim::harness::json {
 
-namespace {
-
 const char *
 kindName(Value::Kind kind)
 {
@@ -23,6 +21,8 @@ kindName(Value::Kind kind)
     }
     return "?";
 }
+
+namespace {
 
 /** The bytes that end a plain run inside a string: the closing
  *  quote, an escape, and a raw newline (an error). */

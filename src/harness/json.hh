@@ -245,6 +245,9 @@ Value parse(std::string_view text);
 /** Write @p text JSON-escaped (quotes, backslashes, control chars). */
 void escape(std::string &out, std::string_view text);
 
+/** @return the JSON name of @p kind: "null", "bool", "number", ... */
+const char *kindName(Value::Kind kind);
+
 } // namespace hpim::harness::json
 
 #endif // HPIM_HARNESS_JSON_HH

@@ -5,17 +5,16 @@
  * Perfetto / chrome://tracing).
  *
  * A TraceSession records typed events -- spans (an interval of work
- * on one track), instants (a point occurrence: a fault, a retry, a
- * DRAM row activation) and counters (a sampled value over time, e.g.
- * allocatable fixed-pool units) -- into per-thread buffers, so
- * recording never takes a lock on the hot path once a thread's
- * buffer exists.
+ * on one track), instants (a point occurrence: a fault, a retry) and
+ * counters (a sampled value over time, e.g. allocatable fixed-pool
+ * units) -- into per-thread buffers, so recording never takes a lock
+ * on the hot path once a thread's buffer exists.
  *
- * Instrumented components (rt::Executor, mem::VaultController,
- * harness::SweepRunner, ...) look up the process-global session via
- * TraceSession::current(); when none is attached the lookup is one
- * relaxed atomic load and the instrumentation does nothing, so runs
- * with tracing off are bit-identical to an uninstrumented build.
+ * Instrumented components (rt::Executor, harness::SweepRunner, ...)
+ * look up the process-global session via TraceSession::current();
+ * when none is attached the lookup is one relaxed atomic load and the
+ * instrumentation does nothing, so runs with tracing off are
+ * bit-identical to an uninstrumented build.
  *
  * Determinism contract: exported traces are byte-identical for a
  * fixed seed regardless of the sweep worker count. Two mechanisms
@@ -59,7 +58,7 @@ struct TraceExportError : std::runtime_error
     }
 };
 
-/** Timeline row an event belongs to (a device, a vault, ...). */
+/** Timeline row an event belongs to (a device, the sweep, ...). */
 using TrackId = std::uint32_t;
 
 /** Event flavours; mirrors the Chrome trace-event phases used. */
@@ -118,7 +117,7 @@ class TraceSession
     }
 
     /**
-     * Intern a track by name ("cpu", "vault 3", ...). Tracks are
+     * Intern a track by name ("cpu", "sweep", ...). Tracks are
      * shared across scopes. In-memory ids are assigned in first-
      * intern order, which is racy across sweep workers -- the export
      * remaps them to name-sorted order, so on-disk tids never depend

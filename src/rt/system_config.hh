@@ -17,12 +17,31 @@
 #include <string>
 
 #include "cpu/cpu_model.hh"
-#include "mem/dram_energy.hh"
 #include "pim/fixed_pim.hh"
 #include "pim/progr_pim.hh"
 #include "sim/fault_model.hh"
 
 namespace hpim::rt {
+
+/**
+ * DRAM access energy per byte. An access served inside the stack (PIM)
+ * pays the array alone; one crossing the off-stack link (host) pays the
+ * link on top, which is the root of the PIM energy advantage the paper
+ * exploits. Figures follow public HMC/DDR literature.
+ */
+struct DramEnergyParams
+{
+    double readPerBytePj = 0.0; ///< array read, pJ/byte
+    double linkPerBytePj = 0.0; ///< off-stack SerDes/IO, pJ/byte
+
+    /** HMC-like stack: cheap internal access, expensive link. In-stack
+     *  array access is ~3.7 pJ/bit class; the SerDes link dominates
+     *  external access cost. */
+    static DramEnergyParams hmc() { return {4.0, 30.0}; }
+    /** DDR4 DIMM: everything crosses the channel I/O; array + I/O
+     *  together land around 10-20 pJ/bit. */
+    static DramEnergyParams ddr4() { return {6.0, 56.0}; }
+};
 
 /** Complete system description. */
 struct SystemConfig
@@ -77,6 +96,11 @@ struct SystemConfig
     // ---- Memory system.
     /** In-stack bandwidth available to PIMs, bytes/s. */
     double internalBandwidth = 320e9;
+    // HMC 2.0 (paper SectionV-A): 32 vaults, each moving one 64 B burst
+    // every two 312.5 MHz cycles, 10 GB/s per vault. Every value and
+    // product here is exact in double, so the comparison is exact.
+    static_assert(32 * (64 * 312.5e6 / 2) == 320e9,
+                  "internalBandwidth is 32 vaults x 10 GB/s");
     /** Fraction of internal bandwidth PIM compute may consume. */
     double pimBandwidthShare = 0.85;
     /**
@@ -88,8 +112,7 @@ struct SystemConfig
      * native speed.
      */
     double fixedOperandReuse = 45.0;
-    hpim::mem::DramEnergyParams dramEnergy =
-        hpim::mem::DramEnergyParams::hmc();
+    DramEnergyParams dramEnergy = DramEnergyParams::hmc();
     /** Stack background power (refresh, SerDes idle), watts. */
     double stackBackgroundW = 1.8;
 

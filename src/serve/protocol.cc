@@ -274,7 +274,10 @@ parseSimulateSpec(const json::Value &object)
         } catch (const json::Error &) {
             throw ProtocolError(
                 "sim field 'fault_seed' must be an unsigned 64-bit "
-                "integer, got " + std::string(seed->numberText()));
+                "integer, got "
+                + std::string(seed->isNumber()
+                                  ? seed->numberText()
+                                  : json::kindName(seed->kind())));
         }
     }
 

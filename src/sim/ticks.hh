@@ -4,8 +4,7 @@
  *
  * A Tick is one picosecond of simulated time. The event queue orders
  * events by tick; rt::Executor converts the analytic device models'
- * durations (seconds) to ticks, and the DRAM models count clock
- * periods in ticks (mem::DramTiming::tCK).
+ * durations (seconds) to ticks.
  */
 
 #ifndef HPIM_SIM_TICKS_HH

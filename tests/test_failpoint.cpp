@@ -169,13 +169,18 @@ TEST_F(FailPointTest, UnknownSiteListsRegisteredSites)
 TEST_F(FailPointTest, MalformedTailArmsNothing)
 {
     FailPoint site("test.atomic.site");
-    EXPECT_THROW(
-        configureFailPoints(
-            "test.atomic.site=after(0):eio;garbage-program"),
-        FailPointError);
-    // Parse-all-before-arm: the valid prefix must not be live.
-    EXPECT_FALSE(failPointsArmed());
-    EXPECT_FALSE(site.fire());
+    for (const char *spec :
+         {"test.atomic.site=after(0):eio;garbage-program",
+          "test.atomic.site=after(0):eio;no.such.site=after(0):eio"}) {
+        SCOPED_TRACE(spec);
+        EXPECT_THROW(configureFailPoints(spec), FailPointError);
+        // Parse and resolve all before arming: the valid prefix must
+        // not be live, not even after a later configure recounts the
+        // armed sites.
+        configureFailPoints("");
+        EXPECT_FALSE(failPointsArmed());
+        EXPECT_FALSE(site.fire());
+    }
 }
 
 // ------------------------------------------------------------- triggers

@@ -1,11 +1,13 @@
 /**
  * @file
  * Deterministic mutational fuzzers for the untrusted inputs other than
- * graph documents: hpim_serve frames and requests (serve/protocol.hh)
- * and sweep journal files (harness/journal.hh). Seeds are recorded
- * inputs -- a frame of every request kind, one of them a simulate
- * request carrying a committed graph, and the header and record lines
- * of a small journaled sweep -- and each iteration applies one to
+ * graph documents: hpim_serve frames and requests (serve/protocol.hh),
+ * sweep journal files (harness/journal.hh) and fail-point specs
+ * (harness/failpoint.hh). Seeds are recorded inputs -- a frame of
+ * every request kind, one of them a simulate request carrying a
+ * committed graph, the header and record lines of a small journaled
+ * sweep, and the specs the fail-point tests and the chaos sweep
+ * arm -- and each iteration applies one to
  * three mutations (tests/fuzz_mutations.hh) drawn from its own
  * sim::Rng stream, so a failure reproduces from the printed iteration
  * alone. The pass rule is each reader's documented contract: a typed
@@ -15,9 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +31,7 @@
 
 #include "baseline/presets.hh"
 #include "fuzz_mutations.hh"
+#include "harness/failpoint.hh"
 #include "harness/json.hh"
 #include "harness/journal.hh"
 #include "harness/report_io.hh"
@@ -188,6 +193,55 @@ recordedJournal()
     ::rmdir(dir);
     return seeds;
 }
+
+/** The specs tests/test_failpoint.cpp and bench/chaos_sweep arm. */
+const char *const kFailPointSpecs[] = {
+    "test.after.site=after(2):eio",
+    "test.every.site=every(3):enospc",
+    "test.prob.site=prob(0.5,7):eio",
+    "test.prob.site=prob(0.5,8):eio",
+    "test.off.alpha=every(1):eio;test.off.beta=every(1):eio",
+    "test.off.alpha=off",
+    "test.off.beta=off",
+    "test.reset.site=after(1):eio",
+    "test.errno.site=every(1):enospc",
+    "test.errno.site=every(1):eintr",
+    "test.errno.site=every(1):fsync",
+    "test.errno.site=every(1):rename",
+    "test.errno.site=every(1):eio",
+    "test.errno.site=every(1):alloc",
+    "test.short.site=after(0):short(3)",
+    "test.writeall.site=every(2):short(5)",
+    "test.writeall.site=every(3):eintr",
+    "test.writeall.hard=after(0):enospc",
+    "test.writeall.storm=every(1):eintr",
+    "test.check.site=after(0):eio",
+    "test.check.site=after(0):alloc",
+    "journal.append.write=after(4):enospc",
+    "journal.append.fsync=after(2):fsync",
+    "journal.append.write=every(6):eio",
+    "journal.header.rename=after(0):rename",
+    "journal.dir.fsync=after(1):fsync",
+    "journal.claim.open=after(2):eio",
+    "journal.append.write=after(5):alloc",
+    "journal.append.write=every(4):short(7)",
+    "journal.append.write=every(3):eintr;"
+    "journal.append.fsync=every(5):eintr",
+    "journal.append.write=prob(0.35,42):enospc",
+    "serve.send=every(3):eintr;serve.recv=every(4):eintr",
+    "serve.send=every(5):eio;serve.recv=every(7):short(3)",
+};
+
+/** The sites those specs name. */
+const char *const kFailPointSpecSites[] = {
+    "test.after.site",      "test.every.site",       "test.prob.site",
+    "test.off.alpha",       "test.off.beta",         "test.reset.site",
+    "test.errno.site",      "test.short.site",       "test.writeall.site",
+    "test.writeall.hard",   "test.writeall.storm",   "test.check.site",
+    "journal.append.write", "journal.append.fsync",  "journal.header.rename",
+    "journal.dir.fsync",    "journal.claim.open",    "serve.send",
+    "serve.recv",
+};
 
 } // namespace
 
@@ -361,4 +415,53 @@ TEST(InputFuzz, JournalRecordsScanToAGoodPrefix)
     EXPECT_GT(reports, kIterations / 2);
     std::cout << "[ fuzz     ] " << kept << " records kept, " << reports
               << " reports read in " << kIterations << " files\n";
+}
+
+TEST(InputFuzz, FailPointSpecsAreTypedOrArm)
+{
+    // Register the sites no code linked into this binary declares, so
+    // every seed arms as recorded.
+    const std::vector<std::string> linked = harness::failPointSites();
+    std::vector<std::unique_ptr<harness::FailPoint>> local;
+    for (const char *site : kFailPointSpecSites) {
+        if (!std::binary_search(linked.begin(), linked.end(), site))
+            local.push_back(std::make_unique<harness::FailPoint>(site));
+    }
+    for (const char *spec : kFailPointSpecs) {
+        ASSERT_NO_THROW(harness::configureFailPoints(spec)) << spec;
+        harness::clearFailPoints();
+    }
+
+    constexpr std::size_t kIterations = 5000;
+    std::size_t accepted = 0;
+    for (std::size_t i = 0; i < kIterations; ++i) {
+        sim::Rng rng(sim::Rng::streamSeed(kFuzzSeed ^ 4, i));
+        std::string spec =
+            kFailPointSpecs[pick(rng, std::size(kFailPointSpecs))];
+        const std::string trail = fuzz::mutateSome(spec, rng);
+        const std::string context = "iteration " + std::to_string(i)
+                                    + " (" + trail + ")\ninput head: "
+                                    + spec.substr(0, 200);
+        try {
+            harness::configureFailPoints(spec);
+            ++accepted;
+            harness::clearFailPoints();
+        } catch (const harness::FailPointError &) {
+            // A rejected spec arms nothing, not even once a later
+            // configure recounts the armed sites.
+            harness::configureFailPoints("");
+            if (harness::failPointsArmed()) {
+                harness::clearFailPoints();
+                FAIL() << context << " left a site armed";
+            }
+        } catch (const std::exception &e) {
+            harness::clearFailPoints();
+            FAIL() << context << " escaped untyped: " << e.what();
+        }
+    }
+    EXPECT_GT(accepted, kIterations / 20);
+    EXPECT_LT(accepted, kIterations / 2);
+    std::cout << "[ fuzz     ] " << accepted << " accepted, "
+              << kIterations - accepted << " rejected of " << kIterations
+              << "\n";
 }

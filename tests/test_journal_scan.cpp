@@ -119,6 +119,34 @@ TEST(JournalHeader, VersionMismatchFillsOnlySchemaVersion)
     EXPECT_EQ(read.points, 0u);
 }
 
+TEST(JournalHeader, ShardFieldsBeyond32BitsAreRejected)
+{
+    // Truncated to 32 bits, these read as shard 1 of 2 and 1 of 1.
+    const struct
+    {
+        const char *shards;
+        const char *field;
+    } cases[] = {
+        {"\"shard_index\":4294967297,\"shard_count\":4294967298",
+         "shard_index"},
+        {"\"shard_index\":1,\"shard_count\":4294967297", "shard_count"},
+    };
+    ScratchFile file("wide_shard_header");
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.shards);
+        file.write("{\"schema_version\":"
+                   + std::to_string(harness::journalSchemaVersion)
+                   + ",\"base_seed\":7,\"grid_hash\":8,\"points\":9,"
+                   + c.shards + "}\n");
+        try {
+            harness::readJournalHeader(file.path());
+            ADD_FAILURE() << "a 33-bit shard field was accepted";
+        } catch (const harness::JournalFormatError &e) {
+            EXPECT_EQ(e.field, c.field);
+        }
+    }
+}
+
 // ----------------------------------------------------- scanJournalRecords
 
 TEST(JournalScan, MissingFileReturnsFalse)

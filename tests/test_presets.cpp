@@ -42,6 +42,10 @@ TEST(Presets, HeteroPimEnablesEverything)
     EXPECT_EQ(config.progr.cores, 4u);
     // Host memory is the stack behind serial links.
     EXPECT_DOUBLE_EQ(config.cpu.memBandwidth, 120e9);
+    // PIM's premise: inside the stack there is more bandwidth than
+    // across its links.
+    EXPECT_DOUBLE_EQ(config.internalBandwidth, 320e9);
+    EXPECT_GT(config.internalBandwidth, config.cpu.memBandwidth);
 }
 
 TEST(Presets, MakeHeteroFlagControl)

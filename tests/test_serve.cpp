@@ -330,6 +330,22 @@ TEST(ServeProtocol, MalformedRequestsThrowTyped)
                                      + std::string(100, '[')
                                      + std::string(100, ']') + "}"),
                  serve::ProtocolError);
+    // A fault_seed that is not an unsigned integer is named, whatever
+    // kind of JSON value it is.
+    for (const char *seed : {"-1", "\"x\"", "true", "null"}) {
+        SCOPED_TRACE(seed);
+        try {
+            serve::parseRequest(
+                std::string("{\"v\":1,\"id\":5,\"kind\":\"simulate\","
+                            "\"sim\":{\"fault_seed\":")
+                + seed + "}}");
+            ADD_FAILURE() << "accepted";
+        } catch (const serve::ProtocolError &e) {
+            EXPECT_NE(std::string(e.what()).find("fault_seed"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ServeProtocol, ErrorResponseRoundTrips)
