@@ -25,9 +25,8 @@
  * --trace FILE writes a Chrome/Perfetto timeline of the run
  * (docs/OBSERVABILITY.md). A MetricsRegistry is attached for every
  * local run unless --no-metrics, so --json reports carry the
- * component metrics snapshot. Note the memo-cache interaction: an
- * attached registry suspends sim::MemoCache, so --no-metrics is also
- * how a local run exercises the memo path.
+ * component metrics snapshot. Neither observer changes the run: it
+ * takes the same memoized path (sim::MemoCache) as an unobserved one.
  *
  * --timeout-ms MS bounds the run: once the budget is spent the
  * simulation unwinds at its next phase boundary (docs/SERVING.md,

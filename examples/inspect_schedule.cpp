@@ -3,8 +3,7 @@
  * Developer tooling tour: record the runtime's schedule for an
  * AlexNet step, export its timeline as Chrome-trace JSON (load it in
  * chrome://tracing or Perfetto, or summarize it with hpim_trace),
- * export the run report as CSV/JSON, and print the generated OpenCL-C
- * for one complex op.
+ * and export the run report as CSV/JSON.
  *
  *   $ ./examples/inspect_schedule [out_dir]
  */
@@ -13,7 +12,6 @@
 #include <iostream>
 
 #include "baseline/presets.hh"
-#include "cl/codegen.hh"
 #include "harness/failpoint.hh"
 #include "harness/report_io.hh"
 #include "sim/logging.hh"
@@ -76,17 +74,5 @@ main(int argc, char **argv)
     }
     std::cout << "wrote " << out_dir << "/report.{csv,json}\n";
 
-    // ---- What the programmer writes vs what the compiler emits.
-    auto sources =
-        cl::generateKernelSources(nn::OpType::Conv2DBackpropFilter);
-    std::cout << "\n---- programmer-written kernel ("
-              << sources.full.name << ") ----\n"
-              << sources.full.source
-              << "\n---- compiler-extracted fixed-function sub-kernel "
-                 "----\n"
-              << sources.fixedSubKernels[0].source
-              << "\n---- rewritten programmable-PIM kernel (recursive "
-                 "launch, Fig. 6) ----\n"
-              << sources.progrKernel.source;
     return 0;
 }

@@ -182,8 +182,10 @@ parseSpecProb(const std::string &text, const std::string &program)
     char *end = nullptr;
     errno = 0;
     double value = std::strtod(text.c_str(), &end);
+    // Written as a test of membership so that NaN, which strtod
+    // accepts and which compares false both ways, is rejected too.
     if (text.empty() || end != text.c_str() + text.size()
-        || value < 0.0 || value > 1.0)
+        || !(value >= 0.0 && value <= 1.0))
         throw FailPointError("'" + text
                              + "' is not a probability in [0,1] in '"
                              + program + "'");

@@ -64,7 +64,7 @@ buildModel(ModelId model, int batch)
 {
     if (batch <= 0)
         batch = defaultBatchSize(model);
-    if (!hpim::sim::MemoCache::active())
+    if (!hpim::sim::MemoCache::enabled())
         return buildResolved(model, batch);
     auto &cache = hpim::sim::MemoCache::instance();
     const std::uint64_t key =

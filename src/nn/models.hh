@@ -36,10 +36,10 @@ std::string modelName(ModelId model);
  * One training step of @p model; batch <= 0 uses the default.
  *
  * A graph is a pure function of (model, batch), so while
- * sim::MemoCache is active the build is memoized under "nn.graph",
+ * sim::MemoCache is enabled the build is memoized under "nn.graph",
  * keyed on the model and the resolved batch: every later call returns
  * a copy that shares the first build's body. While the cache is
- * inactive it builds afresh.
+ * disabled it builds afresh.
  */
 Graph buildModel(ModelId model, int batch = 0);
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "sim/logging.hh"
-#include "sim/memo_cache.hh"
 
 namespace hpim::obs {
 
@@ -172,9 +171,6 @@ MetricsRegistry::attach()
                                                 std::memory_order_acq_rel),
              "obs: a MetricsRegistry is already attached");
     _attached = true;
-    // Cached sub-simulations would skip the counters this registry
-    // expects to aggregate; suspend reuse while attached.
-    hpim::sim::MemoCache::suspend();
 }
 
 void
@@ -186,7 +182,6 @@ MetricsRegistry::detach()
     s_current.compare_exchange_strong(expected, nullptr,
                                       std::memory_order_acq_rel);
     _attached = false;
-    hpim::sim::MemoCache::resume();
 }
 
 MetricsRegistry::Entry &

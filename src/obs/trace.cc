@@ -5,7 +5,6 @@
 
 #include "harness/json_writer.hh"
 #include "sim/logging.hh"
-#include "sim/memo_cache.hh"
 
 namespace hpim::obs {
 
@@ -50,9 +49,6 @@ TraceSession::attach()
                                                 std::memory_order_acq_rel),
              "obs: a TraceSession is already attached");
     _attached = true;
-    // A memo-cache hit would skip a simulation whose events this
-    // session expects to record; suspend reuse while attached.
-    hpim::sim::MemoCache::suspend();
 }
 
 void
@@ -64,7 +60,6 @@ TraceSession::detach()
     s_current.compare_exchange_strong(expected, nullptr,
                                       std::memory_order_acq_rel);
     _attached = false;
-    hpim::sim::MemoCache::resume();
 }
 
 TraceSession::Buffer &

@@ -25,7 +25,7 @@ namespace hpim::rt {
 /**
  * Everything produced by a training run.
  *
- * While sim::MemoCache is active, the profile and selection are the
+ * While sim::MemoCache is enabled, the profile and selection are the
  * objects it holds for this (graph, CPU, coverage): every run that
  * hits it shares them, so both are read-only.
  */

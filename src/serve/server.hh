@@ -34,11 +34,11 @@
  *
  * Observability: serve.* metrics live in a registry owned by the
  * server (deliberately *not* attached process-wide -- an attached
- * registry suspends the memo cache and would interleave component
- * metrics across concurrent requests). A `stats` request snapshots
- * it together with the memo-cache hit counters. With a traceFile
- * set, a TraceSession is attached for the daemon's lifetime and
- * every request records under its own trace scope.
+ * registry would interleave component metrics across concurrent
+ * requests). A `stats` request snapshots it together with the
+ * memo-cache hit counters. With a traceFile set, a TraceSession is
+ * attached for the daemon's lifetime and every request records
+ * under its own trace scope.
  */
 
 #ifndef HPIM_SERVE_SERVER_HH
@@ -81,8 +81,7 @@ struct ServerOptions
     /** Max simultaneously open client connections; beyond it the
      *  daemon stops accepting until one closes. */
     std::size_t maxConnections = 64;
-    /** Chrome/Perfetto trace output; empty = tracing off. Tracing
-     *  suspends the memo cache (sim/memo_cache.hh). */
+    /** Chrome/Perfetto trace output; empty = tracing off. */
     std::string traceFile;
 };
 

@@ -7,7 +7,6 @@ namespace hpim::sim {
 namespace {
 
 std::atomic<bool> g_enabled{true};
-std::atomic<int> g_suspended{0};
 
 } // namespace
 
@@ -30,29 +29,10 @@ MemoCache::enabled()
     return g_enabled.load(std::memory_order_relaxed);
 }
 
-void
-MemoCache::suspend()
-{
-    g_suspended.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-MemoCache::resume()
-{
-    g_suspended.fetch_sub(1, std::memory_order_relaxed);
-}
-
-bool
-MemoCache::active()
-{
-    return enabled()
-           && g_suspended.load(std::memory_order_relaxed) == 0;
-}
-
 std::shared_ptr<const void>
 MemoCache::lookup(std::uint64_t key)
 {
-    if (!active())
+    if (!enabled())
         return nullptr;
     std::shared_ptr<const void> found;
     {
@@ -83,7 +63,7 @@ MemoCache::trimLocked()
 void
 MemoCache::insert(std::uint64_t key, std::shared_ptr<const void> value)
 {
-    if (!active() || value == nullptr)
+    if (!enabled() || value == nullptr)
         return;
     std::uint64_t evicted = 0;
     {

@@ -18,11 +18,12 @@
  *  - exact-match keys: every input that can influence the result is
  *    hashed (graph signature, config slice field by field); nothing
  *    is rounded or canonicalized beyond its bit pattern;
- *  - observability wins over reuse: while a TraceSession or
- *    MetricsRegistry is attached the cache is suspended, because a
- *    cache hit would skip the simulation whose trace events and
- *    counters the observer expects (obs attach()/detach() call
- *    suspend()/resume()).
+ *  - only work that observes nothing is memoized: a hit skips graph
+ *    building, graph loading and profiling, none of which records a
+ *    trace event or a metric (the executor, the status registers,
+ *    the thread pool, the sweep runner and the server do, and they
+ *    always run), so an attached TraceSession or MetricsRegistry
+ *    sees the same run with the cache on or off.
  *
  * `--no-sim-cache` (harness sweeps) maps to setEnabled(false).
  */
@@ -52,20 +53,10 @@ class MemoCache
     static bool enabled();
 
     /**
-     * Suspend/resume reuse (counted; nestable). Held by obs trace
-     * sessions and metrics registries for their attachment lifetime.
-     */
-    static void suspend();
-    static void resume();
-
-    /** True when lookups may hit: enabled and not suspended. */
-    static bool active();
-
-    /**
      * Find a cached value. @p tag names the value type ("nn.graph",
      * "rt.prepared") and is mixed into the key, so two consumers can
      * never alias each other's entries. Returns nullptr on miss or
-     * when the cache is inactive.
+     * when the cache is disabled.
      */
     template <typename T>
     std::shared_ptr<const T>
@@ -74,7 +65,7 @@ class MemoCache
         return std::static_pointer_cast<const T>(lookup(mix(key, tag)));
     }
 
-    /** Insert a value (no-op while inactive). */
+    /** Insert a value (no-op while disabled). */
     template <typename T>
     void
     put(std::uint64_t key, const char *tag,
@@ -131,7 +122,7 @@ class MemoCache
     std::size_t _max_entries = 0;
     // Always-on counters: plain relaxed atomics so the [sweep] footer
     // and the serve stats endpoint can report cache efficacy without
-    // any obs attachment (which would suspend the cache itself).
+    // any obs attachment.
     std::atomic<std::uint64_t> _hits{0};
     std::atomic<std::uint64_t> _misses{0};
     std::atomic<std::uint64_t> _insertions{0};

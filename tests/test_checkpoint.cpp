@@ -20,6 +20,7 @@
 #include "harness/journal.hh"
 #include "harness/report_io.hh"
 #include "harness/sweep.hh"
+#include "temp_dirs.hh"
 
 using namespace hpim;
 using namespace hpim::harness;
@@ -68,10 +69,7 @@ runSweep(const SweepOptions &options, std::size_t *resumed = nullptr)
 std::string
 tempJournalDir()
 {
-    std::string tmpl = testing::TempDir() + "hpim-journal-XXXXXX";
-    char *dir = mkdtemp(tmpl.data());
-    EXPECT_NE(dir, nullptr);
-    return std::string(dir) + "/journal";
+    return test::tempDir("journal") + "/journal";
 }
 
 std::string

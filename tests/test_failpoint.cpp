@@ -149,6 +149,17 @@ TEST_F(FailPointTest, MalformedSpecsThrowNamingTheToken)
     EXPECT_THROW(
         configureFailPoints("test.grammar.site=off:eio"),
         FailPointError);
+    // strtod reads "nan", and NaN fails both range compares; a site
+    // armed with it would never fire.
+    try {
+        configureFailPoints("test.grammar.site=prob(nan,7):eio");
+        FAIL() << "expected FailPointError";
+    } catch (const FailPointError &e) {
+        EXPECT_NE(std::string(e.what()).find("'nan'"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(failPointsArmed());
 }
 
 TEST_F(FailPointTest, UnknownSiteListsRegisteredSites)

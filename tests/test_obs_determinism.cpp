@@ -133,15 +133,20 @@ TEST(ObsDeterminism, BenchOutputUnaffectedByTracing)
         options.baseSeed = 42;
         if (traced)
             options.traceFile = path;
-        SweepRunner runner(options);
-        auto reports = runner.run(smallGrid());
         std::ostringstream digest;
-        for (const auto &report : reports)
-            digest << report.configName << ' ' << report.workloadName
-                   << ' ' << report.makespanSec << ' '
-                   << report.totalEnergyJ << '\n';
-        if (traced)
-            std::remove(path.c_str());
+        {
+            SweepRunner runner(options);
+            auto reports = runner.run(smallGrid());
+            for (const auto &report : reports)
+                digest << report.configName << ' '
+                       << report.workloadName << ' '
+                       << report.makespanSec << ' '
+                       << report.totalEnergyJ << '\n';
+            // Trace export happens in the runner destructor.
+        }
+        if (traced) {
+            EXPECT_EQ(std::remove(path.c_str()), 0) << path;
+        }
         return digest.str();
     };
     std::string untraced = run(false);

@@ -37,6 +37,7 @@
 #include "harness/sweep.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "temp_dirs.hh"
 
 using namespace hpim;
 using namespace hpim::harness;
@@ -59,14 +60,7 @@ makePoint(std::size_t i, sim::Rng &rng)
     return r;
 }
 
-std::string
-tempDir(const char *tag)
-{
-    std::string tmpl = testing::TempDir() + "hpim-" + tag + "-XXXXXX";
-    char *dir = mkdtemp(tmpl.data());
-    EXPECT_NE(dir, nullptr);
-    return std::string(dir);
-}
+using test::tempDir;
 
 std::string
 tempJournalDir()

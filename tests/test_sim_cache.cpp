@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the cross-point memo cache (sim/memo_cache.hh): exact
- * keying, the enabled/suspended switches, the end-to-end guarantee
- * the bench goldens rely on -- cached, uncached and parallel sweeps
- * produce byte-identical reports -- and the exact hit counts a user
- * graph earns across neighboring configs.
+ * keying, the enabled switch, the end-to-end guarantee the bench
+ * goldens rely on -- cached, uncached and parallel sweeps produce
+ * byte-identical reports -- that an observed run keeps the cache and
+ * its bytes, and the exact hit counts a user graph earns across
+ * neighboring configs.
  */
 
 #include <gtest/gtest.h>
@@ -168,7 +169,7 @@ TEST_F(SimCacheTest, FirstWriterWins)
 TEST_F(SimCacheTest, DisabledCacheNeverStoresOrHits)
 {
     MemoCache::setEnabled(false);
-    EXPECT_FALSE(MemoCache::active());
+    EXPECT_FALSE(MemoCache::enabled());
     auto &cache = MemoCache::instance();
     cache.put<int>(5, "test.int", std::make_shared<const int>(9));
     EXPECT_EQ(cache.find<int>(5, "test.int"), nullptr);
@@ -176,48 +177,40 @@ TEST_F(SimCacheTest, DisabledCacheNeverStoresOrHits)
     EXPECT_EQ(cache.find<int>(5, "test.int"), nullptr); // never stored
 }
 
-TEST_F(SimCacheTest, SuspendIsCountedAndNestable)
+TEST_F(SimCacheTest, ObservedRunsKeepTheCacheAndTheirBytes)
 {
-    EXPECT_TRUE(MemoCache::active());
-    MemoCache::suspend();
-    MemoCache::suspend();
-    EXPECT_FALSE(MemoCache::active());
-    MemoCache::resume();
-    EXPECT_FALSE(MemoCache::active()); // one suspender still holds it
-    MemoCache::resume();
-    EXPECT_TRUE(MemoCache::active());
-}
-
-TEST_F(SimCacheTest, AttachedTraceSessionSuspendsReuse)
-{
-    auto &cache = MemoCache::instance();
-    cache.put<int>(11, "test.int", std::make_shared<const int>(2));
-    ASSERT_NE(cache.find<int>(11, "test.int"), nullptr);
-    {
-        hpim::obs::TraceSession session;
-        session.attach();
-        // A hit here would skip the simulation whose events the
-        // session expects to record.
-        EXPECT_FALSE(MemoCache::active());
-        EXPECT_EQ(cache.find<int>(11, "test.int"), nullptr);
-        session.detach();
-    }
-    EXPECT_TRUE(MemoCache::active());
-    EXPECT_NE(cache.find<int>(11, "test.int"), nullptr);
-}
-
-TEST_F(SimCacheTest, AttachedMetricsRegistrySuspendsReuse)
-{
-    auto &cache = MemoCache::instance();
-    cache.put<int>(13, "test.int", std::make_shared<const int>(3));
-    {
+    // hpim_cli's observed run: a registry and a trace session around
+    // runSimulate. A hit skips only graph building and profiling,
+    // which record no event or metric, so the cached runs (cold, then
+    // warm) give the uncached run's report, metrics and trace bytes.
+    auto observed = [] {
         hpim::obs::MetricsRegistry registry;
         registry.attach();
-        EXPECT_FALSE(MemoCache::active());
-        EXPECT_EQ(cache.find<int>(13, "test.int"), nullptr);
+        hpim::obs::TraceSession trace;
+        trace.attach();
+        hpim::rt::ExecutionReport report =
+            hpim::serve::runSimulate(hpim::serve::SimulateSpec{});
+        report.metrics = registry.snapshot();
+        trace.detach();
         registry.detach();
-    }
-    EXPECT_TRUE(MemoCache::active());
+        EXPECT_FALSE(report.metrics.empty());
+        EXPECT_GT(trace.eventCount(), 0u);
+        std::ostringstream chrome;
+        trace.exportChromeTrace(chrome);
+        return hpim::harness::jsonString(report) + chrome.str();
+    };
+
+    MemoCache::setEnabled(false);
+    const std::string reference = observed();
+    MemoCache::setEnabled(true);
+    const std::string cold = observed();
+    const auto hit_stats_before = MemoCache::instance().stats();
+    const std::string warm = observed();
+    const auto hit_stats_after = MemoCache::instance().stats();
+
+    EXPECT_EQ(reference, cold);
+    EXPECT_EQ(reference, warm);
+    EXPECT_GT(hit_stats_after.hits, hit_stats_before.hits);
 }
 
 TEST_F(SimCacheTest, CachedAndUncachedSweepsAreByteIdentical)
