@@ -72,25 +72,9 @@ placedOnFromName(const std::string &name, PlacedOn &out)
     return false;
 }
 
-/** Event driving the fixed pool's next phase completion. */
-class Executor::PoolEvent : public hpim::sim::Event
-{
-  public:
-    explicit PoolEvent(Executor &executor)
-        : Event(Event::completionPriority), _executor(executor)
-    {}
-
-    void process() override { _executor.onPoolEvent(); }
-    std::string description() const override { return "fixed-pool"; }
-
-  private:
-    Executor &_executor;
-};
-
 Executor::Executor(const SystemConfig &config,
                    const OffloadSelection *selection)
-    : _config(config), _selection(selection), _cpu_model(config.cpu),
-      _pool_event(std::make_unique<PoolEvent>(*this))
+    : _config(config), _selection(selection), _cpu_model(config.cpu)
 {
     _progr_free = config.hasProgrPim ? config.progrPimCount : 0;
     _fixed_free = config.hasFixedPim ? config.fixed.totalUnits : 0;
@@ -126,12 +110,6 @@ Executor::setupFaultLayer()
     }
     _fault_model = std::make_unique<hpim::sim::FaultModel>(
         _config.faults, units, std::move(temps));
-}
-
-Executor::~Executor()
-{
-    if (_pool_event && _pool_event->scheduled())
-        _queue.deschedule(_pool_event.get());
 }
 
 std::string
@@ -216,7 +194,7 @@ Executor::makeJoin(const OpKey &key)
 double
 Executor::nowSec() const
 {
-    return hpim::sim::ticksToSeconds(_queue.now());
+    return hpim::sim::ticksToSeconds(_events.now());
 }
 
 Tick
@@ -603,19 +581,7 @@ Executor::startOnCpu(const OpKey &key)
     _dm_accum += dm;
 
     _cpu_busy = true;
-    double start = nowSec();
-    _queue.scheduleCallback(
-        toTick(start + dur),
-        [this, key, start, dur] {
-            _cpu_busy = false;
-            if (obsActive()) {
-                obsSpan("cpu", key, start,
-                        dur * _config.cpu.dynamicPowerW);
-                obsCount("rt.ops.cpu");
-            }
-            onOpComplete(key);
-        },
-        hpim::sim::Event::completionPriority);
+    scheduleEnd(Event::Kind::CpuDone, key, nowSec(), dur);
 }
 
 void
@@ -645,19 +611,7 @@ Executor::startOnProgr(const OpKey &key, bool recursive)
             double hold = _fault_model->stallTimeoutSec(dur);
             _report.progrBusySec += hold;
             _sync_accum += hold;
-            double start = nowSec();
-            _queue.scheduleCallback(
-                toTick(start + hold),
-                [this, key, start, hold] {
-                    ++_progr_free;
-                    if (obsActive()) {
-                        obsSpan("progr", key, start,
-                                hold * _config.progr.powerW(),
-                                {{"outcome", std::string("stall")}});
-                    }
-                    failAttempt(key, FailKind::Stall);
-                },
-                hpim::sim::Event::completionPriority);
+            scheduleEnd(Event::Kind::ProgrStall, key, nowSec(), hold);
             return;
         }
         bool faulty = outcome == Attempt::Transient;
@@ -675,28 +629,7 @@ Executor::startOnProgr(const OpKey &key, bool recursive)
             _op_accum += dur - launch - dm;
             _dm_accum += dm;
         }
-        double start = nowSec();
-        _queue.scheduleCallback(
-            toTick(start + dur),
-            [this, key, faulty, start, dur] {
-                ++_progr_free;
-                if (obsActive()) {
-                    obsSpan("progr", key, start,
-                            dur * _config.progr.powerW(),
-                            faulty
-                                ? std::vector<hpim::obs::TraceArg>{
-                                      {"outcome",
-                                       std::string("fault")}}
-                                : std::vector<hpim::obs::TraceArg>{});
-                    if (!faulty)
-                        obsCount("rt.ops.progr");
-                }
-                if (faulty)
-                    failAttempt(key, FailKind::Transient);
-                else
-                    onOpComplete(key);
-            },
-            hpim::sim::Event::completionPriority);
+        scheduleEnd(Event::Kind::ProgrDone, key, nowSec(), dur, faulty);
         return;
     }
 
@@ -714,20 +647,7 @@ Executor::startOnProgr(const OpKey &key, bool recursive)
         double hold = _fault_model->stallTimeoutSec(dur);
         _report.progrBusySec += hold;
         _sync_accum += hold;
-        double start = nowSec();
-        _queue.scheduleCallback(
-            toTick(start + hold),
-            [this, key, start, hold] {
-                ++_progr_free;
-                if (obsActive()) {
-                    obsSpan("progr", key, start,
-                            hold * _config.progr.powerW(),
-                            {{"outcome", std::string("stall")},
-                             {"part", std::string("rc-control")}});
-                }
-                failAttempt(key, FailKind::Stall);
-            },
-            hpim::sim::Event::completionPriority);
+        scheduleEnd(Event::Kind::RcStall, key, nowSec(), hold);
         return;
     }
     bool faulty = outcome == Attempt::Transient;
@@ -757,20 +677,7 @@ Executor::startOnProgr(const OpKey &key, bool recursive)
         1.0,
         std::min<double>(cap / tree, std::ceil(o.parallelism.lanes))));
     addPhase(key, flops, intensity, tree, max_trees, true, faulty);
-
-    double start = nowSec();
-    _queue.scheduleCallback(
-        toTick(start + dur),
-        [this, key, start, dur] {
-            ++_progr_free;
-            if (obsActive()) {
-                obsSpan("progr", key, start,
-                        dur * _config.progr.powerW(),
-                        {{"part", std::string("rc-control")}});
-            }
-            onJoinedPartDone(key, false);
-        },
-        hpim::sim::Event::completionPriority);
+    scheduleEnd(Event::Kind::RcControlDone, key, nowSec(), dur);
 }
 
 void
@@ -782,9 +689,7 @@ Executor::startOnFixed(const OpKey &key)
     _sync_accum += launch;
     _report.internalBytes += o.cost.bytes();
 
-    double flops = std::max(o.cost.flops(), 1.0);
-    double intensity =
-        o.cost.bytes() > 0.0 ? flops / o.cost.bytes() : 1e9;
+    // The trees are sized now, from the capacity at dispatch.
     std::uint32_t cap = std::max(_fixed_capacity, 1u);
     std::uint32_t tree =
         std::min(std::max(o.parallelism.unitsPerLane, 1u), cap);
@@ -796,18 +701,28 @@ Executor::startOnFixed(const OpKey &key)
         && _fault_model->drawAttempt(false)
                == hpim::sim::FaultModel::Attempt::Transient;
     // The kernel-spawn latency delays the phase start.
-    _queue.scheduleCallback(
-        toTick(nowSec() + launch),
-        [this, key, flops, intensity, tree, max_trees, faulty] {
-            if (faultsOn() && _fixed_alive == 0) {
-                // The whole pool died during the launch window.
-                failAttempt(key, FailKind::Evicted);
-                return;
-            }
-            addPhase(key, flops, intensity, tree, max_trees, false,
-                     faulty);
-        },
-        hpim::sim::Event::defaultPriority);
+    _events.push(toTick(nowSec() + launch),
+                 {.key = key,
+                  .kind = Event::Kind::FixedLaunch,
+                  .flag = faulty,
+                  .a = tree,
+                  .b = max_trees});
+}
+
+void
+Executor::onFixedLaunch(const Event &event)
+{
+    if (faultsOn() && _fixed_alive == 0) {
+        // The whole pool died during the launch window.
+        failAttempt(event.key, FailKind::Evicted);
+        return;
+    }
+    const Operation &o = op(event.key);
+    double flops = std::max(o.cost.flops(), 1.0);
+    double intensity =
+        o.cost.bytes() > 0.0 ? flops / o.cost.bytes() : 1e9;
+    addPhase(event.key, flops, intensity, event.a, event.b, false,
+             event.flag);
 }
 
 void
@@ -862,20 +777,7 @@ Executor::startHostDriven(const OpKey &key)
     _report.internalBytes += o.cost.bytes();
     addPhase(key, flops, intensity, tree, std::max(max_trees, 1u), true,
              faulty);
-
-    double start = nowSec();
-    _queue.scheduleCallback(
-        toTick(start + cpu_dur),
-        [this, key, start, cpu_dur] {
-            _cpu_busy = false;
-            if (obsActive()) {
-                obsSpan("cpu", key, start,
-                        cpu_dur * _config.cpu.dynamicPowerW,
-                        {{"part", std::string("host-driven")}});
-            }
-            onJoinedPartDone(key, false);
-        },
-        hpim::sim::Event::completionPriority);
+    scheduleEnd(Event::Kind::HostDrivenDone, key, nowSec(), cpu_dur);
 }
 
 double
@@ -897,7 +799,7 @@ Executor::phaseRate(const FixedPhase &phase) const
 void
 Executor::poolDrain()
 {
-    Tick now = _queue.now();
+    Tick now = _events.now();
     if (now <= _pool_last_update) {
         _pool_last_update = now;
         return;
@@ -951,8 +853,6 @@ Executor::poolReallocate()
 void
 Executor::poolScheduleNext()
 {
-    if (_pool_event->scheduled())
-        _queue.deschedule(_pool_event.get());
     double best = -1.0;
     for (const FixedPhase &phase : _phases) {
         if (phase.alloc == 0)
@@ -961,11 +861,12 @@ Executor::poolScheduleNext()
         if (best < 0.0 || eta < best)
             best = eta;
     }
-    if (best >= 0.0) {
-        Tick when = std::max<Tick>(toTick(nowSec() + best),
-                                   _queue.now() + 1);
-        _queue.schedule(_pool_event.get(), when);
+    if (best < 0.0) {
+        _events.disarmPool();
+        return;
     }
+    _events.armPool(
+        std::max<Tick>(toTick(nowSec() + best), _events.now() + 1));
 }
 
 void
@@ -1042,6 +943,99 @@ Executor::onPoolEvent()
             onOpComplete(phase.key);
     }
     dispatchAll();
+}
+
+void
+Executor::scheduleEnd(Event::Kind kind, const OpKey &key, double start,
+                      double span, bool flag)
+{
+    _events.push(toTick(start + span), {.key = key,
+                                        .kind = kind,
+                                        .flag = flag,
+                                        .startSec = start,
+                                        .spanSec = span});
+}
+
+void
+Executor::runEvent(const Event &event)
+{
+    using hpim::obs::TraceArg;
+    const OpKey &key = event.key;
+    switch (event.kind) {
+      case Event::Kind::CpuDone:
+        _cpu_busy = false;
+        if (obsActive()) {
+            obsSpan("cpu", key, event.startSec,
+                    event.spanSec * _config.cpu.dynamicPowerW);
+            obsCount("rt.ops.cpu");
+        }
+        onOpComplete(key);
+        return;
+      case Event::Kind::ProgrDone:
+        ++_progr_free;
+        if (obsActive()) {
+            std::vector<TraceArg> extra;
+            if (event.flag)
+                extra.push_back({"outcome", std::string("fault")});
+            obsSpan("progr", key, event.startSec,
+                    event.spanSec * _config.progr.powerW(),
+                    std::move(extra));
+            if (!event.flag)
+                obsCount("rt.ops.progr");
+        }
+        if (event.flag)
+            failAttempt(key, FailKind::Transient);
+        else
+            onOpComplete(key);
+        return;
+      case Event::Kind::ProgrStall:
+      case Event::Kind::RcStall:
+        ++_progr_free;
+        if (obsActive()) {
+            std::vector<TraceArg> extra{{"outcome", std::string("stall")}};
+            if (event.kind == Event::Kind::RcStall)
+                extra.push_back({"part", std::string("rc-control")});
+            obsSpan("progr", key, event.startSec,
+                    event.spanSec * _config.progr.powerW(),
+                    std::move(extra));
+        }
+        failAttempt(key, FailKind::Stall);
+        return;
+      case Event::Kind::RcControlDone:
+        ++_progr_free;
+        if (obsActive()) {
+            obsSpan("progr", key, event.startSec,
+                    event.spanSec * _config.progr.powerW(),
+                    {{"part", std::string("rc-control")}});
+        }
+        onJoinedPartDone(key, false);
+        return;
+      case Event::Kind::HostDrivenDone:
+        _cpu_busy = false;
+        if (obsActive()) {
+            obsSpan("cpu", key, event.startSec,
+                    event.spanSec * _config.cpu.dynamicPowerW,
+                    {{"part", std::string("host-driven")}});
+        }
+        onJoinedPartDone(key, false);
+        return;
+      case Event::Kind::FixedLaunch:
+        onFixedLaunch(event);
+        return;
+      case Event::Kind::Retry:
+        onRetry(event.key);
+        return;
+      case Event::Kind::BankKill:
+        onBankFailed(event.a);
+        return;
+      case Event::Kind::Throttle:
+        onThrottle(event.a, event.flag);
+        return;
+      case Event::Kind::Pool:
+        onPoolEvent();
+        return;
+    }
+    panic("unknown event kind");
 }
 
 void
@@ -1126,19 +1120,20 @@ Executor::failAttempt(const OpKey &key, FailKind kind)
     s.running = false;
     double delay = _fault_model->backoffSec(attempts);
     _report.retryBackoffSec += delay;
-    Tick when = std::max<Tick>(toTick(nowSec() + delay),
-                               _queue.now() + 1);
-    _queue.scheduleCallback(
-        when,
-        [this, key] {
-            OpState &st = state(key);
-            if (st.done || st.running || st.ready)
-                return;
-            st.ready = true;
-            pushReady(key);
-            dispatchAll();
-        },
-        hpim::sim::Event::schedulePriority);
+    _events.push(std::max<Tick>(toTick(nowSec() + delay),
+                                _events.now() + 1),
+                 {.key = key, .kind = Event::Kind::Retry});
+}
+
+void
+Executor::onRetry(const OpKey &key)
+{
+    OpState &st = state(key);
+    if (st.done || st.running || st.ready)
+        return;
+    st.ready = true;
+    pushReady(key);
+    dispatchAll();
 }
 
 void
@@ -1228,7 +1223,7 @@ Executor::onBankFailed(std::uint32_t bank)
 }
 
 void
-Executor::onThrottle(std::size_t index, bool start)
+Executor::onThrottle(std::uint32_t index, bool start)
 {
     // Toggles follow the makespan, not the ops: none counts against the
     // event budget. The chain stops with the last op.
@@ -1255,11 +1250,11 @@ Executor::onThrottle(std::size_t index, bool start)
         // Keep the duty cycle going only while work remains, so the
         // run loop terminates with the last completion.
         double delay = start ? spec.onSec : spec.offSec;
-        Tick when = std::max<Tick>(toTick(nowSec() + delay),
-                                   _queue.now() + 1);
-        _queue.scheduleCallback(
-            when, [this, index, start] { onThrottle(index, !start); },
-            hpim::sim::Event::defaultPriority);
+        _events.push(std::max<Tick>(toTick(nowSec() + delay),
+                                    _events.now() + 1),
+                     {.kind = Event::Kind::Throttle,
+                      .flag = !start,
+                      .a = index});
     }
     if (!start)
         dispatchAll(); // capacity returned; waiting trees may now fit
@@ -1270,20 +1265,14 @@ Executor::scheduleHealthEvents()
 {
     recordCapacity(); // t = 0 baseline sample
     for (const hpim::sim::BankKill &kill : _fault_model->kills()) {
-        std::uint32_t bank = kill.bank;
-        Tick when = std::max<Tick>(toTick(kill.timeSec),
-                                   _queue.now() + 1);
-        _queue.scheduleCallback(
-            when, [this, bank] { onBankFailed(bank); },
-            hpim::sim::Event::defaultPriority);
+        _events.push(std::max<Tick>(toTick(kill.timeSec), _events.now() + 1),
+                     {.kind = Event::Kind::BankKill, .a = kill.bank});
     }
-    for (std::size_t i = 0; i < _fault_model->throttles().size(); ++i) {
-        Tick when = std::max<Tick>(
-            toTick(_fault_model->throttles()[i].firstStartSec),
-            _queue.now() + 1);
-        _queue.scheduleCallback(
-            when, [this, i] { onThrottle(i, true); },
-            hpim::sim::Event::defaultPriority);
+    const auto &throttles = _fault_model->throttles();
+    for (std::uint32_t i = 0; i < throttles.size(); ++i) {
+        _events.push(std::max<Tick>(toTick(throttles[i].firstStartSec),
+                                    _events.now() + 1),
+                     {.kind = Event::Kind::Throttle, .flag = true, .a = i});
     }
 }
 
@@ -1374,11 +1363,11 @@ ExecutionReport
 Executor::run(const std::vector<WorkloadSpec> &workloads)
 {
     fatal_if(workloads.empty(), "no workloads to run");
-    // The event queue's clock is monotonic and cannot rewind; one
-    // Executor instance runs once.
-    fatal_if(_queue.processedCount() != 0,
-             "Executor::run() called twice; construct a fresh "
-             "Executor per run");
+    // The event clock is monotonic and cannot rewind, and a run that
+    // threw leaves its devices busy: one Executor instance runs once.
+    fatal_if(_ran, "Executor::run() called twice; construct a fresh "
+                   "Executor per run");
+    _ran = true;
     _workloads.clear();
     _ready.clear();
     _live.clear();
@@ -1437,9 +1426,11 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
     // on it stops the run before any still-pending throttle window.
     hpim::sim::checkDeadline("simulate");
     _event_budget = eventBudget(_config, workloads);
-    std::uint64_t events = 0;
-    while (!allComplete() && _queue.runOne()) {
-        if (++events > _event_budget) [[unlikely]]
+    Event event;
+    while (!allComplete() && _events.pop(event)) {
+        runEvent(event);
+        const std::uint64_t events = _events.popped();
+        if (events > _event_budget) [[unlikely]]
             throwEventBudget(_event_budget);
         // Deadline phase boundary: cheap enough to sit in the event
         // loop because 65535 of 65536 iterations only test a counter,
@@ -1451,7 +1442,7 @@ Executor::run(const std::vector<WorkloadSpec> &workloads)
     }
     obsCount("rt.sched.placement_evals", _placement_evals);
     obsCount("rt.sched.placement_decisions", _placement_decisions);
-    obsCount("rt.sched.events", _queue.processedCount());
+    obsCount("rt.sched.events", _events.popped());
 
     for (const WorkloadState &wl : _workloads) {
         panic_if(wl.completedSteps != wl.spec.steps,

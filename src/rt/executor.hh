@@ -34,11 +34,11 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "pim/status_registers.hh"
+#include "rt/event_heap.hh"
 #include "rt/execution_report.hh"
 #include "rt/offload_selector.hh"
 #include "rt/schedule_trace.hh"
 #include "rt/system_config.hh"
-#include "sim/event_queue.hh"
 #include "sim/fault_model.hh"
 
 namespace hpim::rt {
@@ -130,8 +130,6 @@ class Executor
     explicit Executor(const SystemConfig &config,
                       const OffloadSelection *selection = nullptr);
 
-    ~Executor();
-
     /** Attach a schedule recorder (must outlive run()). */
     void attachTrace(ScheduleTrace *trace) { _trace = trace; }
 
@@ -163,13 +161,6 @@ class Executor
     }
 
   private:
-    struct OpKey
-    {
-        std::uint32_t workload;
-        std::uint32_t step;
-        hpim::nn::OpId op;
-    };
-
     /** A ready op; (rank, seq) orders its dispatch priority. */
     struct ReadyOp
     {
@@ -311,6 +302,16 @@ class Executor
                   bool joined, bool faulty);
     void onOpComplete(const OpKey &key);
     void onJoinedPartDone(const OpKey &key, bool fixed_part);
+    /** Schedule @p kind for @p key at the end of the busy interval
+     *  [@p start, @p start + @p span] (seconds). */
+    void scheduleEnd(Event::Kind kind, const OpKey &key, double start,
+                     double span, bool flag = false);
+    /** Run one popped event: the switch over Event::Kind. */
+    void runEvent(const Event &event);
+    /** The fixed pool's phase begins at the end of its launch. */
+    void onFixedLaunch(const Event &event);
+    /** A failed op's backoff ends; it is ready again. */
+    void onRetry(const OpKey &key);
 
     // ---- Resilience (active only when _config.faults.enabled; every
     // hook below is a no-op / never reached with faults off, keeping
@@ -321,7 +322,7 @@ class Executor
     std::uint32_t degradeLevel(const OpKey &key) const;
     void failAttempt(const OpKey &key, FailKind kind);
     void onBankFailed(std::uint32_t bank);
-    void onThrottle(std::size_t index, bool start);
+    void onThrottle(std::uint32_t index, bool start);
     void refreshFixedCapacity();
     void recordCapacity();
     void evictDeadPoolPhases();
@@ -330,7 +331,7 @@ class Executor
     // ---- Fixed pool mechanics.
     void poolDrain();        ///< account work done since last update
     void poolReallocate();   ///< redistribute units over phases
-    void poolScheduleNext(); ///< (re)schedule the pool event
+    void poolScheduleNext(); ///< re-arm or disarm the pool slot
     void onPoolEvent();
     double phaseRate(const FixedPhase &phase) const;
 
@@ -348,7 +349,10 @@ class Executor
     const OffloadSelection *_selection;
     hpim::cpu::CpuModel _cpu_model;
 
-    hpim::sim::EventQueue _queue;
+    EventHeap _events;
+    /** Set on entry to run(): one Executor runs once, even if that
+     *  run threw. */
+    bool _ran = false;
     std::vector<WorkloadState> _workloads;
     /** Ready, not yet placed ops: one queue per signature. */
     std::vector<ReadyQueue> _ready;
@@ -375,8 +379,6 @@ class Executor
     std::vector<FixedPhase> _finished;
     std::uint32_t _fixed_free = 0;
     hpim::sim::Tick _pool_last_update = 0;
-    class PoolEvent;
-    std::unique_ptr<PoolEvent> _pool_event;
 
     /** Human-readable "w:step:op" form, for trace/obs output only. */
     static std::string keyStr(const OpKey &key);

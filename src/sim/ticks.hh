@@ -2,9 +2,9 @@
  * @file
  * Simulation time base.
  *
- * A Tick is one picosecond of simulated time. The event queue orders
- * events by tick; rt::Executor converts the analytic device models'
- * durations (seconds) to ticks.
+ * A Tick is one picosecond of simulated time. rt::EventHeap orders
+ * the executor's events by tick; rt::Executor converts the analytic
+ * device models' durations (seconds) to ticks.
  */
 
 #ifndef HPIM_SIM_TICKS_HH
@@ -19,9 +19,6 @@ using Tick = std::uint64_t;
 
 /** Number of ticks per simulated second (1 tick = 1 ps). */
 constexpr Tick ticksPerSecond = 1'000'000'000'000ULL;
-
-/** The far-future sentinel. */
-constexpr Tick maxTick = ~Tick(0);
 
 /** Convert seconds (double) to ticks, rounding to nearest. */
 constexpr Tick

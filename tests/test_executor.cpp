@@ -388,6 +388,18 @@ TEST(ExecutorDeath, RunningTwiceIsFatal)
                 "called twice");
 }
 
+TEST(ExecutorDeath, RunningAgainAfterAThrowIsFatal)
+{
+    // The first dispatch throws before any event pops and leaves the
+    // CPU marked busy, so a second run could only deadlock.
+    auto config = makeConfig(SystemKind::CpuOnly);
+    Executor executor(config);
+    nn::Graph graph = longMatMuls(5e19);
+    EXPECT_THROW(executor.run(graph, 1), SimulationRangeError);
+    EXPECT_EXIT(executor.run(graph, 1), testing::ExitedWithCode(1),
+                "called twice");
+}
+
 // ---- Placement as a table over device views (rt::decidePlacement).
 
 namespace {

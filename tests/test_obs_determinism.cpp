@@ -4,19 +4,28 @@
  * exported trace is byte-identical whatever --jobs says, because
  * events sort by (scope, seq) -- never by wall-clock or worker
  * identity -- and exported track ids are name-sorted, not
- * intern-ordered.
+ * intern-ordered. Two observed runs under faults also have their
+ * trace and metrics bytes pinned outright.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
+#include <set>
 #include <sstream>
 #include <string>
 
+#include "baseline/presets.hh"
 #include "harness/json.hh"
+#include "harness/report_io.hh"
 #include "harness/sweep.hh"
+#include "nn/models.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "rt/hetero_runtime.hh"
+#include "sim/hash.hh"
 
 using namespace hpim;
 using harness::ExperimentPoint;
@@ -70,7 +79,109 @@ tracedSweep(std::uint32_t jobs, std::uint64_t seed)
     return text.str();
 }
 
+/** What one observed run exported, and what its trace holds. */
+struct ObservedRun
+{
+    std::string trace;  ///< Chrome trace JSON
+    std::string report; ///< report JSON carrying the metrics snapshot
+    /** "span:<track>", "outcome:<value>", "part:<value>" and
+     *  "instant:<name>" for each kind of event the trace holds. */
+    std::set<std::string> facts;
+};
+
+/**
+ * Two steps of AlexNet on @p config with a trace session and a metrics
+ * registry attached, under bank kills, transient faults, kernel stalls
+ * and a throttle threshold every bank exceeds.
+ */
+ObservedRun
+observedRun(rt::SystemConfig config)
+{
+    config.faults.enabled = true;
+    config.faults.seed = 3;
+    config.faults.killBanks = 8;
+    config.faults.killSpreadSec = 2e-3;
+    config.faults.transientRatePerOp = 0.05;
+    config.faults.stallRatePerOp = 0.05;
+    config.faults.throttleTempC = 40.0;
+    nn::Graph graph = nn::buildModel(nn::ModelId::AlexNet);
+
+    ObservedRun run;
+    obs::MetricsRegistry registry;
+    registry.attach();
+    obs::TraceSession session;
+    session.attach();
+    rt::ExecutionReport report =
+        rt::HeteroRuntime(config).train(graph, 2).execution;
+    report.metrics = registry.snapshot();
+    session.detach();
+    registry.detach();
+
+    std::ostringstream chrome;
+    session.exportChromeTrace(chrome);
+    run.trace = chrome.str();
+    run.report = harness::jsonString(report);
+
+    const std::vector<std::string> tracks = session.trackNames();
+    for (const obs::TraceEvent &event : session.sortedEvents()) {
+        if (event.kind == obs::EventKind::Span) {
+            run.facts.insert("span:" + tracks[event.track]);
+        } else if (event.kind == obs::EventKind::Instant) {
+            run.facts.insert("instant:" + event.name);
+        }
+        for (const obs::TraceArg &arg : event.args) {
+            if (arg.key == "outcome" || arg.key == "part") {
+                std::string fact = arg.key;
+                fact += ':';
+                fact += std::get<std::string>(arg.value);
+                run.facts.insert(fact);
+            }
+        }
+    }
+    return run;
+}
+
+std::string
+hex(std::uint64_t value)
+{
+    std::ostringstream out;
+    out << "0x" << std::hex << std::setw(16) << std::setfill('0')
+        << value << "ULL";
+    return out.str();
+}
+
 } // namespace
+
+TEST(ObsDeterminism, TracedRunBytesArePinned)
+{
+    // The bytes a traced run exports, not merely their agreement
+    // between runs: any change to a span, instant, counter or metric
+    // the executor records -- its name, arguments, time or order --
+    // moves a pin.
+    ObservedRun rc = observedRun(baseline::makeConfig(
+        baseline::SystemKind::HeteroPim));
+    ObservedRun host =
+        observedRun(baseline::makeHetero(true, false, true));
+    EXPECT_EQ(hex(sim::hashString(rc.trace)),
+              hex(0x3d7167bd688fd570ULL));
+    EXPECT_EQ(hex(sim::hashString(rc.report)),
+              hex(0xb3c34e4d7bb86fafULL));
+    EXPECT_EQ(hex(sim::hashString(host.trace)),
+              hex(0xf20e1c6c8c7f4848ULL));
+    EXPECT_EQ(hex(sim::hashString(host.report)),
+              hex(0xf2450a374dc08391ULL));
+
+    // The pins cover every kind of executor event, from both runs.
+    std::set<std::string> facts = rc.facts;
+    facts.insert(host.facts.begin(), host.facts.end());
+    for (const char *fact :
+         {"span:cpu", "span:progr", "span:fixed", "outcome:stall",
+          "outcome:fault", "part:rc-control", "part:host-driven",
+          "instant:fault.transient", "instant:fault.stall",
+          "instant:bank.failed", "instant:throttle.start"}) {
+        EXPECT_TRUE(facts.count(fact)) << fact;
+    }
+}
 
 TEST(ObsDeterminism, TraceBytesIdenticalAcrossJobs1And8)
 {

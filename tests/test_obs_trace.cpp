@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,19 @@ using namespace hpim;
 using obs::EventKind;
 using obs::TraceEvent;
 using obs::TraceSession;
+
+namespace {
+
+/** @p prefix followed by @p n, built by appending to the prefix. */
+std::string
+numbered(const char *prefix, unsigned n)
+{
+    std::string name = prefix;
+    name += std::to_string(n);
+    return name;
+}
+
+} // namespace
 
 TEST(ObsTrace, NoSessionAttachedByDefault)
 {
@@ -71,11 +85,11 @@ TEST(ObsTrace, SeqReproducesProgramOrderWithinAScope)
     TraceSession session;
     auto t = session.track("t");
     for (int i = 0; i < 100; ++i)
-        session.instant(t, "e" + std::to_string(i), double(i));
+        session.instant(t, numbered("e", i), double(i));
     auto events = session.sortedEvents();
     ASSERT_EQ(events.size(), 100u);
     for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(events[i].name, "e" + std::to_string(i));
+        EXPECT_EQ(events[i].name, numbered("e", i));
 }
 
 TEST(ObsTrace, ScopeGuardTagsAndRestores)
@@ -116,7 +130,7 @@ TEST(ObsTrace, EventsMergeAcrossThreadsByScope)
         threads.emplace_back([&session, t, w] {
             TraceSession::Scope scope(w);
             for (int i = 0; i < 50; ++i)
-                session.instant(t, "w" + std::to_string(w), double(i));
+                session.instant(t, numbered("w", w), double(i));
         });
     }
     for (auto &thread : threads)

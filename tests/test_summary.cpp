@@ -64,8 +64,10 @@ TEST(Dot, WellFormedDocument)
     // One node line per op.
     std::size_t nodes = 0;
     for (OpId id = 0; id < graph.size(); ++id) {
-        if (dot.find("n" + std::to_string(id) + " [label=")
-            != std::string::npos)
+        std::string node = "n";
+        node += std::to_string(id);
+        node += " [label=";
+        if (dot.find(node) != std::string::npos)
             ++nodes;
     }
     EXPECT_EQ(nodes, graph.size());
