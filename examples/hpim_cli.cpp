@@ -59,9 +59,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <optional>
 #include <string>
 
@@ -441,15 +439,12 @@ main(int argc, char **argv)
     // never an abort -- the file is input, not program state.
     std::optional<nn::Graph> user_graph;
     if (!graph_file.empty()) {
-        std::ifstream in(graph_file, std::ios::binary);
-        if (!in) {
-            std::cerr << "hpim_cli: graph parse error: cannot open "
-                         "graph file '" << graph_file << "'\n";
+        try {
+            spec.graph = nn::readGraphFile(graph_file);
+        } catch (const nn::GraphParseError &e) {
+            std::cerr << "hpim_cli: " << e.what() << '\n';
             return 1;
         }
-        std::ostringstream text;
-        text << in.rdbuf();
-        spec.graph = text.str();
         try {
             user_graph = nn::loadGraph(spec.graph);
         } catch (const nn::GraphParseError &e) {

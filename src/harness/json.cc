@@ -1,8 +1,8 @@
 #include "harness/json.hh"
 
-#include <array>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <cstdlib>
 #include <limits>
 
@@ -22,25 +22,197 @@ kindName(Value::Kind kind)
     return "?";
 }
 
-namespace {
+Reader::Reader(std::string_view text, std::size_t line)
+    : _p(text.data()), _end(text.data() + text.size()), _line(line)
+{
+    // Views, counts and lines are 32-bit in a parsed document.
+    if (text.size() >= std::numeric_limits<std::uint32_t>::max())
+        throw Error("document of 4 GiB or more", 1);
+}
 
-/** The bytes that end a plain run inside a string: the closing
- *  quote, an escape, and a raw newline (an error). */
-constexpr auto kStringStop = [] {
-    std::array<bool, 256> stop{};
-    stop['"'] = stop['\\'] = stop['\n'] = true;
-    return stop;
-}();
+void
+Reader::fail(const char *message) const
+{
+    throw Error(message, _line);
+}
 
-} // namespace
+void
+Reader::tooDeep() const
+{
+    throw Error("nesting deeper than " + std::to_string(maxDepth)
+                    + " levels",
+                _line);
+}
 
-/** Recursive-descent parser appending nodes in document order. */
+void
+Reader::end()
+{
+    skipSpace();
+    if (_p != _end)
+        fail("trailing characters after document");
+}
+
+void
+Reader::literal(std::string_view word)
+{
+    if (static_cast<std::size_t>(_end - _p) < word.size()
+        || std::string_view(_p, word.size()) != word)
+        fail("bad literal");
+    _p += word.size();
+}
+
+void
+Reader::skip(std::size_t depth)
+{
+    switch (peek()) {
+      case '{':
+        if (beginObject(depth)) {
+            do {
+                key();
+                skip(depth + 1);
+            } while (nextMember());
+        }
+        return;
+      case '[':
+        if (beginArray(depth)) {
+            do
+                skip(depth + 1);
+            while (nextElement());
+        }
+        return;
+      case '"': string(); return;
+      case 't': literal("true"); return;
+      case 'f': literal("false"); return;
+      case 'n': literal("null"); return;
+      default: number(); return;
+    }
+}
+
+std::string_view
+Reader::escapedString(const char *start, char *out)
+{
+    if (!out) {
+        // The source bytes up to the first unescaped quote or newline
+        // bound the decoded string: decoding fails before passing one.
+        const char *bound = _p;
+        while (bound != _end && *bound != '"' && *bound != '\n')
+            if (*bound++ == '\\' && bound != _end)
+                ++bound;
+        _decoded.resize(static_cast<std::size_t>(bound - start));
+        out = _decoded.data();
+        std::memcpy(out, start, static_cast<std::size_t>(_p - start));
+    }
+    char *next = out + (_p - start);
+    for (;;) {
+        // _p is at a stop byte or the end.
+        if (_p == _end)
+            fail("unterminated string");
+        const char c = *_p++;
+        if (c == '"')
+            return {out, static_cast<std::size_t>(next - out)};
+        if (c == '\n')
+            fail("raw newline in string");
+        if (_p == _end)
+            fail("unterminated escape");
+        switch (*_p++) {
+          case '"': *next++ = '"'; break;
+          case '\\': *next++ = '\\'; break;
+          case '/': *next++ = '/'; break;
+          case 'b': *next++ = '\b'; break;
+          case 'f': *next++ = '\f'; break;
+          case 'n': *next++ = '\n'; break;
+          case 'r': *next++ = '\r'; break;
+          case 't': *next++ = '\t'; break;
+          case 'u': {
+            // UTF-8 of the code point: at most 3 bytes, never more
+            // than the 6-byte escape it replaces.
+            const unsigned cp = hex4();
+            if (cp < 0x80) {
+                *next++ = char(cp);
+            } else if (cp < 0x800) {
+                *next++ = char(0xc0 | (cp >> 6));
+                *next++ = char(0x80 | (cp & 0x3f));
+            } else {
+                *next++ = char(0xe0 | (cp >> 12));
+                *next++ = char(0x80 | ((cp >> 6) & 0x3f));
+                *next++ = char(0x80 | (cp & 0x3f));
+            }
+            break;
+          }
+          default: fail("unknown escape");
+        }
+        // In place, this moves the run down over the escapes before it.
+        while (_p != _end
+               && !kStringStop[static_cast<unsigned char>(*_p)])
+            *next++ = *_p++;
+    }
+}
+
+unsigned
+Reader::hex4()
+{
+    unsigned value = 0;
+    for (int i = 0; i < 4; ++i) {
+        if (_p == _end)
+            fail("unterminated \\u escape");
+        const char c = *_p++;
+        value <<= 4;
+        if (c >= '0' && c <= '9')
+            value |= unsigned(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            value |= unsigned(c - 'a' + 10);
+        else if (c >= 'A' && c <= 'F')
+            value |= unsigned(c - 'A' + 10);
+        else
+            fail("bad \\u escape digit");
+    }
+    return value;
+}
+
+std::optional<double>
+detail::toDouble(std::string_view token)
+{
+    const char *const last = token.data() + token.size();
+    double value = 0.0;
+    auto [stop, ec] = std::from_chars(token.data(), last, value);
+    if (stop != last
+        || (ec != std::errc() && ec != std::errc::result_out_of_range))
+        return std::nullopt;
+    // Out of range: strtod saturates to +-inf or rounds to 0 / a
+    // subnormal, which is what the loaders' checks expect.
+    if (ec == std::errc::result_out_of_range)
+        value = std::strtod(std::string(token).c_str(), nullptr);
+    return value;
+}
+
+std::optional<std::uint64_t>
+detail::toUInt64(std::string_view token)
+{
+    const char *const last = token.data() + token.size();
+    std::uint64_t value = 0;
+    auto [stop, ec] = std::from_chars(token.data(), last, value);
+    if (stop != last || ec != std::errc())
+        return std::nullopt;
+    return value;
+}
+
+std::optional<std::int64_t>
+toInt64(const Number &number)
+{
+    const char *const last = number.text.data() + number.text.size();
+    std::int64_t value = 0;
+    auto [stop, ec] = std::from_chars(number.text.data(), last, value);
+    if (stop != last || ec != std::errc())
+        return std::nullopt;
+    return value;
+}
+
+/** Builds the flat node array of parse() from a Reader's tokens. */
 class Parser
 {
   public:
     Parser(std::string &text, std::vector<Value> &nodes)
-        : _p(text.data()), _end(text.data() + text.size()),
-          _nodes(nodes)
+        : _reader(text), _text(text), _nodes(nodes)
     {
     }
 
@@ -48,89 +220,27 @@ class Parser
     document()
     {
         parseValue(0);
-        skipSpace();
-        if (_p != _end)
-            fail("trailing characters after document");
+        _reader.end();
     }
 
   private:
-    [[noreturn]] void
-    fail(const std::string &message) const
-    {
-        throw Error(message, _line);
-    }
-
-    void
-    skipSpace()
-    {
-        // Every whitespace byte is at most ' ', so compact text leaves
-        // at the first compare.
-        for (; _p != _end && static_cast<unsigned char>(*_p) <= ' ';
-             ++_p) {
-            if (*_p == '\n')
-                ++_line;
-            else if (*_p != ' ' && *_p != '\t' && *_p != '\r')
-                return;
-        }
-    }
-
-    char
-    peek()
-    {
-        if (_p == _end)
-            fail("unexpected end of document");
-        return *_p;
-    }
-
-    void
-    expect(char c)
-    {
-        if (_p == _end || *_p != c)
-            fail(std::string("expected '") + c + "'");
-        ++_p;
-    }
-
-    bool
-    consumeWord(const char *word)
-    {
-        char *q = _p;
-        for (const char *w = word; *w; ++w, ++q)
-            if (q == _end || *q != *w)
-                return false;
-        _p = q;
-        return true;
-    }
-
-    /** Append a node of @p kind starting on the current line. */
+    /** Append a node of @p kind from @p line. */
     std::size_t
-    push(Value::Kind kind)
-    {
-        Value &node = _nodes.emplace_back();
-        node._kind = kind;
-        node._line = static_cast<std::uint32_t>(_line);
-        return _nodes.size() - 1;
-    }
-
-    /** Append a node holding the view [@p text, @p text + @p size). */
-    void
-    pushText(Value::Kind kind, std::size_t line, const char *text,
-             std::size_t size)
+    push(Value::Kind kind, std::size_t line)
     {
         Value &node = _nodes.emplace_back();
         node._kind = kind;
         node._line = static_cast<std::uint32_t>(line);
-        node._text = text;
-        node._size = static_cast<std::uint32_t>(size);
+        return _nodes.size() - 1;
     }
 
-    /** Append a container node, refusing to nest past maxDepth. */
-    std::size_t
-    open(Value::Kind kind, std::size_t depth)
+    /** Append a node holding the view @p text. */
+    void
+    pushText(Value::Kind kind, std::size_t line, std::string_view text)
     {
-        if (depth >= maxDepth)
-            fail("nesting deeper than " + std::to_string(maxDepth)
-                 + " levels");
-        return push(kind);
+        Value &node = _nodes[push(kind, line)];
+        node._text = text.data();
+        node._size = static_cast<std::uint32_t>(text.size());
     }
 
     void
@@ -141,215 +251,95 @@ class Parser
             static_cast<std::uint32_t>(_nodes.size() - self);
     }
 
+    /** Read the string or key at the cursor with @p read, decoding an
+     *  escaped one over its own source bytes in the owned text. */
+    template <class Read>
+    std::string_view
+    ownedString(Read read)
+    {
+        const std::size_t quote =
+            static_cast<std::size_t>(_reader.rest().data() - _text.data());
+        return (_reader.*read)(_text.data() + quote + 1);
+    }
+
     /** Parse one value nested inside @p depth containers. */
     void
     parseValue(std::size_t depth)
     {
-        skipSpace();
-        switch (peek()) {
-          case '{': parseObject(depth); break;
-          case '[': parseArray(depth); break;
-          case '"': {
-            const std::size_t line = _line;
-            auto [text, size] = parseString();
-            pushText(Value::Kind::String, line, text, size);
+        const char first = _reader.peek();
+        const std::size_t line = _reader.line();
+        switch (first) {
+          case '{': {
+            const bool members = _reader.beginObject(depth);
+            const std::size_t self = push(Value::Kind::Object, line);
+            std::uint32_t count = 0;
+            if (members) {
+                do {
+                    const std::size_t key_line = _reader.line();
+                    pushText(Value::Kind::String, key_line,
+                             ownedString(&Reader::key));
+                    parseValue(depth + 1);
+                    ++count;
+                } while (_reader.nextMember());
+            }
+            close(self, count);
             break;
           }
+          case '[': {
+            const bool elements = _reader.beginArray(depth);
+            const std::size_t self = push(Value::Kind::Array, line);
+            std::uint32_t count = 0;
+            if (elements) {
+                do {
+                    parseValue(depth + 1);
+                    ++count;
+                } while (_reader.nextElement());
+            }
+            close(self, count);
+            break;
+          }
+          case '"':
+            pushText(Value::Kind::String, line,
+                     ownedString(&Reader::string));
+            break;
           case 't':
-            if (!consumeWord("true"))
-                fail("bad literal");
-            _nodes[push(Value::Kind::Bool)]._boolean = true;
+            _reader.literal("true");
+            _nodes[push(Value::Kind::Bool, line)]._boolean = true;
             break;
           case 'f':
-            if (!consumeWord("false"))
-                fail("bad literal");
-            push(Value::Kind::Bool);
+            _reader.literal("false");
+            push(Value::Kind::Bool, line);
             break;
           case 'n':
-            if (!consumeWord("null"))
-                fail("bad literal");
-            push(Value::Kind::Null);
+            _reader.literal("null");
+            push(Value::Kind::Null, line);
             break;
-          default: {
-            const char *start = _p;
-            parseNumber();
-            pushText(Value::Kind::Number, _line, start,
-                     static_cast<std::size_t>(_p - start));
+          default:
+            pushText(Value::Kind::Number, line, _reader.number().text);
             break;
-          }
         }
     }
 
-    void
-    parseObject(std::size_t depth)
-    {
-        const std::size_t self = open(Value::Kind::Object, depth);
-        expect('{');
-        skipSpace();
-        std::uint32_t count = 0;
-        if (peek() == '}') {
-            ++_p;
-            close(self, count);
-            return;
-        }
-        for (;;) {
-            skipSpace();
-            if (peek() != '"')
-                fail("expected object key string");
-            const std::size_t line = _line;
-            auto [key, size] = parseString();
-            pushText(Value::Kind::String, line, key, size);
-            skipSpace();
-            expect(':');
-            parseValue(depth + 1);
-            ++count;
-            skipSpace();
-            char c = peek();
-            ++_p;
-            if (c == '}')
-                break;
-            if (c != ',')
-                fail("expected ',' or '}' in object");
-        }
-        close(self, count);
-    }
-
-    void
-    parseArray(std::size_t depth)
-    {
-        const std::size_t self = open(Value::Kind::Array, depth);
-        expect('[');
-        skipSpace();
-        std::uint32_t count = 0;
-        if (peek() == ']') {
-            ++_p;
-            close(self, count);
-            return;
-        }
-        for (;;) {
-            parseValue(depth + 1);
-            ++count;
-            skipSpace();
-            char c = peek();
-            ++_p;
-            if (c == ']')
-                break;
-            if (c != ',')
-                fail("expected ',' or ']' in array");
-        }
-        close(self, count);
-    }
-
-    /** Decode the string at _p in place; @return its bytes. */
-    std::pair<const char *, std::size_t>
-    parseString()
-    {
-        expect('"');
-        char *const start = _p;
-        while (_p != _end && !kStringStop[static_cast<unsigned char>(*_p)])
-            ++_p;
-        char *out = _p;
-        for (;;) {
-            if (_p == _end)
-                fail("unterminated string");
-            char c = *_p++;
-            if (c == '"')
-                return {start, static_cast<std::size_t>(out - start)};
-            if (c == '\n')
-                fail("raw newline in string");
-            if (c != '\\') {
-                *out++ = c;
-                continue;
-            }
-            if (_p == _end)
-                fail("unterminated escape");
-            char e = *_p++;
-            switch (e) {
-              case '"': *out++ = '"'; break;
-              case '\\': *out++ = '\\'; break;
-              case '/': *out++ = '/'; break;
-              case 'b': *out++ = '\b'; break;
-              case 'f': *out++ = '\f'; break;
-              case 'n': *out++ = '\n'; break;
-              case 'r': *out++ = '\r'; break;
-              case 't': *out++ = '\t'; break;
-              case 'u': out = appendCodepoint(out, parseHex4()); break;
-              default: fail("unknown escape");
-            }
-        }
-    }
-
-    unsigned
-    parseHex4()
-    {
-        unsigned value = 0;
-        for (int i = 0; i < 4; ++i) {
-            if (_p == _end)
-                fail("unterminated \\u escape");
-            char c = *_p++;
-            value <<= 4;
-            if (c >= '0' && c <= '9')
-                value |= unsigned(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                value |= unsigned(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F')
-                value |= unsigned(c - 'A' + 10);
-            else
-                fail("bad \\u escape digit");
-        }
-        return value;
-    }
-
-    /** UTF-8 of @p cp: at most 3 bytes, never more than the 6-byte
-     *  escape it replaces. */
-    static char *
-    appendCodepoint(char *out, unsigned cp)
-    {
-        if (cp < 0x80) {
-            *out++ = char(cp);
-        } else if (cp < 0x800) {
-            *out++ = char(0xc0 | (cp >> 6));
-            *out++ = char(0x80 | (cp & 0x3f));
-        } else {
-            *out++ = char(0xe0 | (cp >> 12));
-            *out++ = char(0x80 | ((cp >> 6) & 0x3f));
-            *out++ = char(0x80 | (cp & 0x3f));
-        }
-        return out;
-    }
-
-    /** Step over a numeric token; conversion happens on request. */
-    void
-    parseNumber()
-    {
-        if (_p != _end && *_p == '-')
-            ++_p;
-        bool digits = false;
-        while (_p != _end && *_p >= '0' && *_p <= '9') {
-            ++_p;
-            digits = true;
-        }
-        if (_p != _end && *_p == '.') {
-            ++_p;
-            while (_p != _end && *_p >= '0' && *_p <= '9')
-                ++_p;
-        }
-        if (_p != _end && (*_p == 'e' || *_p == 'E')) {
-            ++_p;
-            if (_p != _end && (*_p == '+' || *_p == '-'))
-                ++_p;
-            while (_p != _end && *_p >= '0' && *_p <= '9')
-                ++_p;
-        }
-        if (!digits)
-            fail("expected a value");
-    }
-
-    char *_p;
-    char *_end;
+    Reader _reader;
+    std::string &_text;
     std::vector<Value> &_nodes;
-    std::size_t _line = 1;
 };
+
+namespace {
+
+/** @return @p token, a whole number token of the document, as
+ *  scanNumber() returns it, reading only its integer digits. */
+Number
+wholeNumber(std::string_view token)
+{
+    const char *p = token.data() + (token.front() == '-');
+    const char *const end = token.data() + token.size();
+    std::uint64_t digits = 0;
+    const std::size_t count = detail::readDigits(p, end, digits);
+    return {token, digits, p == end && count - 1 < 19};
+}
+
+} // namespace
 
 Value::Value(Value &&other) noexcept
     : _text(other._text), _size(other._size), _span(other._span),
@@ -413,53 +403,19 @@ double
 Value::asDouble() const
 {
     const std::string_view token = numberText();
-    // An optional '-' and 1-19 digits is an exact uint64; converting
-    // it rounds to nearest, as from_chars does, so the double is the
-    // same bit for bit. Most numbers in a graph document take this
-    // path.
-    const bool negative = token.front() == '-';
-    const std::size_t digits = token.size() - negative;
-    if (digits - 1 < 19) {
-        std::uint64_t integer = 0;
-        std::size_t i = negative;
-        for (; i < token.size(); ++i) {
-            const unsigned digit =
-                static_cast<unsigned char>(token[i]) - '0';
-            if (digit > 9)
-                break;
-            integer = integer * 10 + digit;
-        }
-        if (i == token.size()) {
-            const double value = static_cast<double>(integer);
-            return negative ? -value : value;
-        }
-    }
-    const char *const end = token.data() + token.size();
-    double value = 0.0;
-    auto [stop, ec] = std::from_chars(token.data(), end, value);
-    if (stop != end
-        || (ec != std::errc() && ec != std::errc::result_out_of_range))
-        throw Error("malformed number '" + std::string(token) + "'",
-                    _line);
-    // Out of range: strtod saturates to +-inf or rounds to 0 / a
-    // subnormal, which is what the loaders' checks expect.
-    if (ec == std::errc::result_out_of_range)
-        value = std::strtod(std::string(token).c_str(), nullptr);
-    return value;
+    if (const auto value = toDouble(wholeNumber(token)))
+        return *value;
+    throw Error("malformed number '" + std::string(token) + "'", _line);
 }
 
 std::int64_t
 Value::asInt64() const
 {
     const std::string_view token = numberText();
-    const char *const end = token.data() + token.size();
-    std::int64_t value = 0;
-    auto [stop, ec] = std::from_chars(token.data(), end, value);
-    if (stop != end || ec != std::errc())
-        throw Error("expected an integer, got '" + std::string(token)
-                        + "'",
-                    _line);
-    return value;
+    if (const auto value = toInt64(wholeNumber(token)))
+        return *value;
+    throw Error("expected an integer, got '" + std::string(token) + "'",
+                _line);
 }
 
 std::uint64_t
@@ -470,14 +426,10 @@ Value::asUInt64() const
         throw Error("expected a non-negative integer, got '"
                         + std::string(token) + "'",
                     _line);
-    const char *const end = token.data() + token.size();
-    std::uint64_t value = 0;
-    auto [stop, ec] = std::from_chars(token.data(), end, value);
-    if (stop != end || ec != std::errc())
-        throw Error("expected an integer, got '" + std::string(token)
-                        + "'",
-                    _line);
-    return value;
+    if (const auto value = toUInt64(wholeNumber(token)))
+        return *value;
+    throw Error("expected an integer, got '" + std::string(token) + "'",
+                _line);
 }
 
 std::size_t
@@ -524,9 +476,8 @@ Value::at(std::string_view key) const
 Value
 parse(std::string_view text)
 {
-    // Views, counts and lines are 32-bit.
-    if (text.size() >= std::numeric_limits<std::uint32_t>::max())
-        throw Error("document of 4 GiB or more", 1);
+    // Refuse a text of 4 GiB or more before copying it.
+    const Reader size_check(text);
     auto document = std::make_unique<Value::Document>();
     document->text.assign(text);
     // About one node per 8 bytes of a graph document; denser text

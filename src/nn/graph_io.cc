@@ -1,8 +1,11 @@
 #include "nn/graph_io.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -14,7 +17,8 @@ namespace hpim::nn {
 
 namespace {
 
-using harness::json::Value;
+using harness::json::Number;
+using harness::json::Reader;
 
 /** The fields of one serialized op, in emission order. */
 enum OpField : std::size_t {
@@ -28,6 +32,13 @@ constexpr std::string_view kOpFields[OpFieldCount] = {
     "lanes",      "inputs",
 };
 
+/** The field of each cost slot, Muls to BytesWritten. */
+constexpr double CostStructure::*kCosts[] = {
+    &CostStructure::muls,      &CostStructure::adds,
+    &CostStructure::specials,  &CostStructure::bytesRead,
+    &CostStructure::bytesWritten,
+};
+
 enum RootField : std::size_t { SchemaVersion, Name, Ops, RootFieldCount };
 
 constexpr std::string_view kRootFields[RootFieldCount] = {
@@ -37,10 +48,23 @@ constexpr std::string_view kRootFields[RootFieldCount] = {
 /** The op index fieldPath() takes for a root field. */
 constexpr std::size_t kRoot = static_cast<std::size_t>(-1);
 
+/** Fewer bytes than any valid op takes: its keys, quoted, with their
+ *  colons. */
+constexpr std::size_t kMinOpBytes = [] {
+    std::size_t bytes = 0;
+    for (std::string_view name : kOpFields)
+        bytes += name.size() + 3;
+    return bytes;
+}();
+
+/** Nesting depths of a graph document's parts, as Reader counts them. */
+constexpr std::size_t kRootMemberDepth = 1, kOpDepth = 2,
+                      kOpMemberDepth = 3, kInputDepth = 4;
+
 /**
  * The path naming field @p name of op @p op ("ops[3].lanes"), or of the
- * root. Built only when throwing, so a valid document allocates no
- * path strings.
+ * root. Built only when an error is found, so a valid document
+ * allocates no path strings.
  */
 std::string
 fieldPath(std::size_t op, std::string_view name)
@@ -50,181 +74,515 @@ fieldPath(std::size_t op, std::string_view name)
     return "ops[" + std::to_string(op) + "]." + std::string(name);
 }
 
+/** @return whether a value starting with @p first is a number token
+ *  (or no token at all, which the reader then rejects). */
+bool
+isNumber(char first)
+{
+    return first != '{' && first != '[' && first != '"' && first != 't'
+           && first != 'f' && first != 'n';
+}
+
 /**
- * Point slots[k] at the entry named names[k], in one pass. Unknown and
- * duplicate keys are rejected in the order a pairwise scan finds them:
- * the earliest entry that is unknown or repeated later wins, and a
- * duplicate is reported at its first repeat.
+ * The slot of the member key at the cursor among @p names, or N for an
+ * unknown key, which is left in @p key. Member @p pos is compared in
+ * place with the key a saved document has there, and read in full
+ * only when it differs.
  */
 template <std::size_t N>
-void
-collectFields(const Value &object, const std::string_view (&names)[N],
-              const Value *(&slots)[N], std::size_t op)
+std::size_t
+readKey(Reader &reader, const std::string_view (&names)[N],
+        std::size_t pos, std::string_view &key)
 {
-    std::size_t first[N] = {};
-    bool repeated[N] = {};
-    std::size_t bad_rank = kRoot;
-    bool bad_unknown = false;
-    std::string_view bad_key;
-    const Value *bad_value = nullptr;
-    std::size_t pos = 0;
-    for (const auto &[key, value] : object.members()) {
-        // Saved documents list the fields in this order.
-        std::size_t k = pos < N && key == names[pos] ? pos : 0;
-        while (k < N && key != names[k])
-            ++k;
+    if (pos < N && reader.tryKey(names[pos])) {
+        key = names[pos];
+        return pos;
+    }
+    key = reader.key();
+    std::size_t k = 0;
+    while (k < N && key != names[k])
+        ++k;
+    return k;
+}
+
+/**
+ * The unknown and duplicate members of one object, noted as they are
+ * read. The error is the one a pairwise scan finds first: the earliest
+ * member that is unknown or repeated later wins, and a duplicate is
+ * reported at its first repeat.
+ */
+template <std::size_t N>
+class FieldSet
+{
+  public:
+    /** Note the next member, slot @p k (N when unknown) named @p key,
+     *  whose value starts on @p line. @return whether it is the first
+     *  member of a known field. */
+    bool
+    note(std::size_t k, std::string_view key, std::size_t line)
+    {
+        const std::size_t pos = _count++;
         if (k == N) {
-            if (pos < bad_rank) {
-                bad_rank = pos;
-                bad_unknown = true;
-                bad_key = key;
-                bad_value = &value;
-            }
-        } else if (!slots[k]) {
-            slots[k] = &value;
-            first[k] = pos;
-        } else if (!repeated[k]) {
-            repeated[k] = true;
-            if (first[k] < bad_rank) {
-                bad_rank = first[k];
-                bad_unknown = false;
-                bad_key = key;
-                bad_value = &value;
-            }
+            if (pos < _badRank)
+                bad(pos, true, key, line);
+            return false;
         }
-        ++pos;
-    }
-    if (bad_value)
-        throw GraphParseError(bad_unknown ? "unknown field"
-                                          : "duplicate field",
-                              bad_value->line(), fieldPath(op, bad_key));
-}
-
-const Value &
-requireField(const Value *field, const Value &object, std::size_t op,
-             std::string_view name)
-{
-    if (!field)
-        throw GraphParseError("missing field", object.line(),
-                              fieldPath(op, name));
-    return *field;
-}
-
-double
-parseCost(const Value &object, const Value *const (&fields)[OpFieldCount],
-          std::size_t op, OpField slot)
-{
-    const std::string_view name = kOpFields[slot];
-    const Value &field = requireField(fields[slot], object, op, name);
-    if (!field.isNumber())
-        throw GraphParseError("expected a number", field.line(),
-                              fieldPath(op, name));
-    double value;
-    try {
-        value = field.asDouble();
-    } catch (const harness::json::Error &) {
-        throw GraphParseError("malformed number '"
-                                  + std::string(field.numberText())
-                                  + "'",
-                              field.line(), fieldPath(op, name));
-    }
-    if (!std::isfinite(value))
-        throw GraphParseError("expected a finite number", field.line(),
-                              fieldPath(op, name));
-    if (value < 0.0)
-        throw GraphParseError("expected a non-negative number",
-                              field.line(), fieldPath(op, name));
-    return value;
-}
-
-/** Validate op @p index and append it to @p graph. */
-void
-addOp(Graph &graph, const Value &node, std::size_t index)
-{
-    if (!node.isObject())
-        throw GraphParseError("expected an object", node.line(),
-                              "ops[" + std::to_string(index) + "]");
-    const Value *fields[OpFieldCount] = {};
-    collectFields(node, kOpFields, fields, index);
-    auto path = [index](OpField slot) {
-        return fieldPath(index, kOpFields[slot]);
-    };
-    auto require = [&](OpField slot) -> const Value & {
-        return requireField(fields[slot], node, index, kOpFields[slot]);
-    };
-
-    const Value &type = require(Type);
-    if (!type.isString())
-        throw GraphParseError("expected a string", type.line(),
-                              path(Type));
-    auto resolved = opTypeFromName(type.asString());
-    if (!resolved)
-        throw GraphParseError("unknown op type '"
-                                  + std::string(type.asString()) + "'",
-                              type.line(), path(Type));
-
-    const Value &label = require(Label);
-    if (!label.isString())
-        throw GraphParseError("expected a string", label.line(),
-                              path(Label));
-    if (label.asString().empty())
-        throw GraphParseError("expected a non-empty label", label.line(),
-                              path(Label));
-
-    CostStructure cost;
-    cost.muls = parseCost(node, fields, index, Muls);
-    cost.adds = parseCost(node, fields, index, Adds);
-    cost.specials = parseCost(node, fields, index, Specials);
-    cost.bytesRead = parseCost(node, fields, index, BytesRead);
-    cost.bytesWritten = parseCost(node, fields, index, BytesWritten);
-
-    const Value &units = require(UnitsPerLane);
-    if (!units.isNumber())
-        throw GraphParseError("expected a number", units.line(),
-                              path(UnitsPerLane));
-    std::uint64_t units_value;
-    try {
-        units_value = units.asUInt64();
-    } catch (const harness::json::Error &) {
-        throw GraphParseError("expected a non-negative integer",
-                              units.line(), path(UnitsPerLane));
-    }
-    if (units_value > std::numeric_limits<std::uint32_t>::max())
-        throw GraphParseError("value out of 32-bit range", units.line(),
-                              path(UnitsPerLane));
-    FixedParallelism parallelism;
-    parallelism.unitsPerLane = static_cast<std::uint32_t>(units_value);
-    parallelism.lanes = parseCost(node, fields, index, Lanes);
-
-    const Value &inputs = require(Inputs);
-    if (!inputs.isArray())
-        throw GraphParseError("expected an array", inputs.line(),
-                              path(Inputs));
-    std::vector<OpId> deps;
-    deps.reserve(inputs.size());
-    for (const Value &dep : inputs.elements()) {
-        if (!dep.isNumber())
-            throw GraphParseError("expected an op index", dep.line(),
-                                  path(Inputs));
-        std::uint64_t dep_value;
-        try {
-            dep_value = dep.asUInt64();
-        } catch (const harness::json::Error &) {
-            throw GraphParseError("expected a non-negative op index",
-                                  dep.line(), path(Inputs));
+        if (!has(k)) {
+            _firstPlusOne[k] = pos + 1;
+            return true;
         }
-        if (dep_value >= index)
-            throw GraphParseError(
-                "input " + std::to_string(dep_value)
-                    + " does not precede op "
-                    + std::to_string(index)
-                    + " (ops must be topologically ordered)",
-                dep.line(), path(Inputs));
-        deps.push_back(static_cast<OpId>(dep_value));
+        const std::size_t first = _firstPlusOne[k] - 1;
+        if (!_repeated[k]) {
+            _repeated[k] = true;
+            if (first < _badRank)
+                bad(first, false, key, line);
+        }
+        return false;
     }
-    graph.add(*resolved, std::string(label.asString()), cost,
-              parallelism, std::move(deps));
-}
+
+    /** @return the members noted so far. */
+    std::size_t count() const { return _count; }
+
+    bool has(std::size_t k) const { return _firstPlusOne[k] != 0; }
+
+    /** @return the unknown or duplicate field of op @p op, if any. */
+    std::optional<GraphParseError>
+    error(std::size_t op) const
+    {
+        if (_badRank == kNone)
+            return std::nullopt;
+        return GraphParseError(_badUnknown ? "unknown field"
+                                           : "duplicate field",
+                               _badLine, fieldPath(op, _badKey));
+    }
+
+  private:
+    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+    void
+    bad(std::size_t rank, bool unknown, std::string_view key,
+        std::size_t line)
+    {
+        _badRank = rank;
+        _badUnknown = unknown;
+        _badKey.assign(key);
+        _badLine = line;
+    }
+
+    std::size_t _firstPlusOne[N] = {}; ///< 0: not seen yet
+    bool _repeated[N] = {};
+    std::size_t _count = 0;
+    std::size_t _badRank = kNone;
+    bool _badUnknown = false;
+    std::string _badKey;
+    std::size_t _badLine = 0;
+};
+
+/**
+ * Reads one graph document in one pass, building the graph as it goes.
+ * Saved documents list every field in emission order, so each key is
+ * first compared in place with the one expected there.
+ *
+ * Diagnostics do not depend on the order the document lists fields
+ * in. A syntax error anywhere wins, thrown where it is met. Semantic
+ * errors are held while the rest of the document is syntax-checked,
+ * and the first in check order is thrown: the root's unknown or duplicate fields, its
+ * fields in slot order, then the ops by index, each op's unknown or
+ * duplicate fields before its fields in slot order. An "ops" met
+ * before a valid "name" is syntax-checked, and read again once the
+ * rest of the root has been checked.
+ */
+class GraphReader
+{
+  public:
+    explicit GraphReader(std::string_view text) : _reader(text) {}
+
+    Graph
+    load()
+    {
+        const bool ops_now = readRoot();
+        Graph graph{std::move(_name)};
+        if (ops_now) {
+            readOps(_reader, graph);
+            if (_reader.nextMember())
+                readRootMembers();
+        }
+        _reader.end();
+        throwHeld();
+        if (!_deferredOps.empty()) {
+            Reader again(_deferredOps, _deferredLine);
+            readOps(again, graph);
+            throwHeld();
+        }
+        return graph;
+    }
+
+  private:
+    /** Hold @p error for root slot @p slot. */
+    void
+    holdRoot(RootField slot, std::string message, std::size_t line)
+    {
+        _rootErrors[slot] = GraphParseError(
+            std::move(message), line, std::string(kRootFields[slot]));
+    }
+
+    /** Throw the first held error in check order. */
+    void
+    throwHeld() const
+    {
+        if (_notObject)
+            throw GraphParseError("expected a graph object", _rootLine);
+        if (auto error = _rootFields.error(kRoot))
+            throw *error;
+        for (std::size_t k = 0; k < RootFieldCount; ++k) {
+            if (!_rootFields.has(k))
+                throw GraphParseError("missing field", _rootLine,
+                                      std::string(kRootFields[k]));
+            if (_rootErrors[k])
+                throw *_rootErrors[k];
+        }
+        if (_opError)
+            throw *_opError;
+    }
+
+    /** Read the root up to an "ops" that can be read now. @return
+     *  whether the cursor is at one. */
+    bool
+    readRoot()
+    {
+        const char first = _reader.peek();
+        _rootLine = _reader.line();
+        if (first != '{') {
+            _notObject = true;
+            _reader.skip(0);
+            return false;
+        }
+        return _reader.beginObject(0) && readRootMembers();
+    }
+
+    /** Read root members from the cursor on, up to the end of the root
+     *  or an "ops" that can be read now. @return whether at one. */
+    bool
+    readRootMembers()
+    {
+        do {
+            std::string_view key;
+            const std::size_t k = readKey(_reader, kRootFields,
+                                          _rootFields.count(), key);
+            const char first = _reader.peek();
+            const std::size_t line = _reader.line();
+            if (!_rootFields.note(k, key, line)) {
+                _reader.skip(kRootMemberDepth);
+                continue;
+            }
+            switch (k) {
+              case SchemaVersion: readVersion(first, line); break;
+              case Name: readName(first, line); break;
+              case Ops:
+                if (_nameRead)
+                    return true;
+                _deferredOps = _reader.rest();
+                _deferredLine = line;
+                _reader.skip(kRootMemberDepth);
+                break;
+            }
+        } while (_reader.nextMember());
+        return false;
+    }
+
+    void
+    readVersion(char first, std::size_t line)
+    {
+        if (!isNumber(first)) {
+            holdRoot(SchemaVersion, "expected an integer", line);
+            _reader.skip(kRootMemberDepth);
+            return;
+        }
+        const auto version = harness::json::toInt64(_reader.number());
+        if (!version)
+            holdRoot(SchemaVersion, "expected an integer", line);
+        else if (*version != graphSchemaVersion)
+            holdRoot(SchemaVersion,
+                     "unsupported schema version "
+                         + std::to_string(*version) + " (expected "
+                         + std::to_string(graphSchemaVersion) + ")",
+                     line);
+    }
+
+    void
+    readName(char first, std::size_t line)
+    {
+        if (first != '"') {
+            holdRoot(Name, "expected a string", line);
+            _reader.skip(kRootMemberDepth);
+            return;
+        }
+        const std::string_view name = _reader.string();
+        if (name.empty()) {
+            holdRoot(Name, "expected a non-empty graph name", line);
+            return;
+        }
+        _name = std::string(name);
+        _nameRead = true;
+    }
+
+    /** Read the "ops" value at the cursor of @p reader into @p graph. */
+    void
+    readOps(Reader &reader, Graph &graph)
+    {
+        const char first = reader.peek();
+        const std::size_t line = reader.line();
+        if (first != '[') {
+            holdRoot(Ops, "expected an array", line);
+            reader.skip(kRootMemberDepth);
+            return;
+        }
+        if (!reader.beginArray(kRootMemberDepth)) {
+            holdRoot(Ops, "expected at least one op", line);
+            return;
+        }
+        graph.reserve(reserveFor(reader.rest()));
+        std::size_t index = 0;
+        do {
+            if (index + 1 == invalidOp)
+                holdRoot(Ops, "too many ops", line);
+            if (_opError || _rootErrors[Ops])
+                reader.skip(kOpDepth);
+            else
+                readOp(reader, graph, index);
+            ++index;
+        } while (reader.nextElement());
+    }
+
+    /**
+     * The op count to reserve for the ops array whose elements start
+     * @p rest: its '{' bytes up to the end of the text, one per op in a
+     * saved document, but never more than a valid op's minimum size
+     * allows.
+     */
+    static std::size_t
+    reserveFor(std::string_view rest)
+    {
+        std::size_t count = 0;
+        const char *p = rest.data();
+        const char *const end = p + rest.size();
+        while ((p = static_cast<const char *>(
+                    std::memchr(p, '{', static_cast<std::size_t>(end - p)))))
+        {
+            ++count;
+            ++p;
+        }
+        return std::min(count, rest.size() / kMinOpBytes);
+    }
+
+    /** The first error of the op being read, in slot order. */
+    struct SlotError
+    {
+        std::size_t slot = OpFieldCount;
+        std::string message;
+        std::size_t line = 0;
+    };
+
+    static void
+    bad(SlotError &error, std::size_t slot, std::string message,
+        std::size_t line)
+    {
+        if (slot < error.slot)
+            error = {slot, std::move(message), line};
+    }
+
+    /** Read a cost (or lanes) value starting with @p first. */
+    static double
+    readCost(Reader &reader, char first, std::size_t line,
+             std::size_t slot, SlotError &error)
+    {
+        if (!isNumber(first)) {
+            bad(error, slot, "expected a number", line);
+            reader.skip(kOpMemberDepth);
+            return 0.0;
+        }
+        const Number number = reader.number();
+        const auto value = harness::json::toDouble(number);
+        if (!value)
+            bad(error, slot,
+                "malformed number '" + std::string(number.text) + "'",
+                line);
+        else if (!std::isfinite(*value))
+            bad(error, slot, "expected a finite number", line);
+        else if (*value < 0.0)
+            bad(error, slot, "expected a non-negative number", line);
+        else
+            return *value;
+        return 0.0;
+    }
+
+    /** Read the inputs array of op @p index into _inputs. */
+    void
+    readInputs(Reader &reader, char first, std::size_t line,
+               std::size_t index, SlotError &error)
+    {
+        if (first != '[') {
+            bad(error, Inputs, "expected an array", line);
+            reader.skip(kOpMemberDepth);
+            return;
+        }
+        _inputs.clear();
+        if (!reader.beginArray(kOpMemberDepth))
+            return;
+        bool ok = true;
+        do {
+            const char dep_first = reader.peek();
+            const std::size_t dep_line = reader.line();
+            if (!ok || !isNumber(dep_first)) {
+                if (ok)
+                    bad(error, Inputs, "expected an op index", dep_line);
+                ok = false;
+                reader.skip(kInputDepth);
+                continue;
+            }
+            const auto dep = harness::json::toUInt64(reader.number());
+            if (!dep) {
+                bad(error, Inputs, "expected a non-negative op index",
+                    dep_line);
+                ok = false;
+            } else if (*dep >= index) {
+                bad(error, Inputs,
+                    "input " + std::to_string(*dep)
+                        + " does not precede op " + std::to_string(index)
+                        + " (ops must be topologically ordered)",
+                    dep_line);
+                ok = false;
+            } else {
+                _inputs.push_back(static_cast<OpId>(*dep));
+            }
+        } while (reader.nextElement());
+    }
+
+    /** Read op @p index and append it to @p graph, or hold its error. */
+    void
+    readOp(Reader &reader, Graph &graph, std::size_t index)
+    {
+        const char first = reader.peek();
+        const std::size_t line = reader.line();
+        if (first != '{') {
+            _opError = GraphParseError("expected an object", line,
+                                       "ops[" + std::to_string(index)
+                                           + "]");
+            reader.skip(kOpDepth);
+            return;
+        }
+        FieldSet<OpFieldCount> fields;
+        SlotError error;
+        OpType type = OpType::MatMul;
+        std::string label;
+        CostStructure cost;
+        FixedParallelism parallelism;
+        if (reader.beginObject(kOpDepth)) {
+            do {
+                std::string_view key;
+                const std::size_t k = readKey(reader, kOpFields,
+                                              fields.count(), key);
+                const char value = reader.peek();
+                const std::size_t value_line = reader.line();
+                if (!fields.note(k, key, value_line)) {
+                    reader.skip(kOpMemberDepth);
+                    continue;
+                }
+                switch (k) {
+                  case Type:
+                  case Label: {
+                    if (value != '"') {
+                        bad(error, k, "expected a string", value_line);
+                        reader.skip(kOpMemberDepth);
+                        break;
+                    }
+                    const std::string_view text = reader.string();
+                    if (k == Label) {
+                        if (text.empty())
+                            bad(error, k, "expected a non-empty label",
+                                value_line);
+                        // Sized to fit: assign() would give a label
+                        // of 16-29 bytes room for 30.
+                        label = std::string(text);
+                    } else if (auto resolved = opTypeFromName(text)) {
+                        type = *resolved;
+                    } else {
+                        bad(error, k,
+                            "unknown op type '" + std::string(text) + "'",
+                            value_line);
+                    }
+                    break;
+                  }
+                  case Muls:
+                  case Adds:
+                  case Specials:
+                  case BytesRead:
+                  case BytesWritten:
+                    cost.*kCosts[k - Muls] =
+                        readCost(reader, value, value_line, k, error);
+                    break;
+                  case UnitsPerLane: {
+                    if (!isNumber(value)) {
+                        bad(error, k, "expected a number", value_line);
+                        reader.skip(kOpMemberDepth);
+                        break;
+                    }
+                    const auto units =
+                        harness::json::toUInt64(reader.number());
+                    if (!units)
+                        bad(error, k, "expected a non-negative integer",
+                            value_line);
+                    else if (*units
+                             > std::numeric_limits<std::uint32_t>::max())
+                        bad(error, k, "value out of 32-bit range",
+                            value_line);
+                    else
+                        parallelism.unitsPerLane =
+                            static_cast<std::uint32_t>(*units);
+                    break;
+                  }
+                  case Lanes:
+                    parallelism.lanes =
+                        readCost(reader, value, value_line, k, error);
+                    break;
+                  case Inputs:
+                    readInputs(reader, value, value_line, index, error);
+                    break;
+                }
+            } while (reader.nextMember());
+        }
+        if ((_opError = fields.error(index)))
+            return;
+        std::size_t k = 0;
+        while (k < error.slot && fields.has(k))
+            ++k;
+        if (k < error.slot) {
+            _opError = GraphParseError("missing field", line,
+                                       fieldPath(index, kOpFields[k]));
+            return;
+        }
+        if (k < OpFieldCount) {
+            _opError = GraphParseError(std::move(error.message), error.line,
+                                       fieldPath(index, kOpFields[k]));
+            return;
+        }
+        graph.add(type, std::move(label), cost, parallelism,
+                  std::vector<OpId>(_inputs.begin(), _inputs.end()));
+    }
+
+    Reader _reader;
+    std::size_t _rootLine = 1;
+    bool _notObject = false;
+    FieldSet<RootFieldCount> _rootFields;
+    std::optional<GraphParseError> _rootErrors[RootFieldCount];
+    std::string _name;
+    bool _nameRead = false;
+    /** The text from an "ops" read before the name, and its line. */
+    std::string_view _deferredOps;
+    std::size_t _deferredLine = 0;
+    std::optional<GraphParseError> _opError;
+    std::vector<OpId> _inputs; ///< the op being read, reused
+};
 
 } // namespace
 
@@ -269,70 +627,36 @@ graphToJson(const Graph &graph)
 Graph
 loadGraph(const std::string &text)
 {
-    Value root;
     try {
-        root = harness::json::parse(text);
+        return GraphReader(text).load();
     } catch (const harness::json::Error &err) {
         throw GraphParseError(err.what(), err.line);
     }
+}
 
-    if (!root.isObject())
-        throw GraphParseError("expected a graph object", root.line());
-    const Value *fields[RootFieldCount] = {};
-    collectFields(root, kRootFields, fields, kRoot);
-
-    const Value &version = requireField(fields[SchemaVersion], root,
-                                        kRoot, "schema_version");
-    std::int64_t version_value;
-    try {
-        version_value = version.asInt64();
-    } catch (const harness::json::Error &) {
-        throw GraphParseError("expected an integer", version.line(),
-                              "schema_version");
-    }
-    if (version_value != graphSchemaVersion)
-        throw GraphParseError(
-            "unsupported schema version "
-                + std::to_string(version_value) + " (expected "
-                + std::to_string(graphSchemaVersion) + ")",
-            version.line(), "schema_version");
-
-    const Value &name = requireField(fields[Name], root, kRoot, "name");
-    if (!name.isString())
-        throw GraphParseError("expected a string", name.line(), "name");
-    if (name.asString().empty())
-        throw GraphParseError("expected a non-empty graph name",
-                              name.line(), "name");
-
-    const Value &ops = requireField(fields[Ops], root, kRoot, "ops");
-    if (!ops.isArray())
-        throw GraphParseError("expected an array", ops.line(), "ops");
-    if (ops.size() == 0)
-        throw GraphParseError("expected at least one op", ops.line(),
-                              "ops");
-    if (ops.size() >= static_cast<std::size_t>(invalidOp))
-        throw GraphParseError("too many ops", ops.line(), "ops");
-
-    Graph graph{std::string(name.asString())};
-    graph.reserve(ops.size());
-    std::size_t index = 0;
-    for (const Value &op : ops.elements())
-        addOp(graph, op, index++);
-    return graph;
+std::string
+readGraphFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        throw GraphParseError("cannot open graph file '" + path + "'");
+    // istream::read turns a failed read (EISDIR on a directory, EIO)
+    // into badbit; streaming rdbuf() would report it as an empty file.
+    std::string text;
+    char chunk[1 << 16];
+    while (in.read(chunk, sizeof chunk), in.gcount() > 0)
+        text.append(chunk, static_cast<std::size_t>(in.gcount()));
+    if (in.bad())
+        throw GraphParseError("cannot read graph file '" + path + "'");
+    return text;
 }
 
 Graph
 loadGraphFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw GraphParseError("cannot open graph file '" + path + "'");
-    std::ostringstream text;
-    text << in.rdbuf();
-    if (in.bad())
-        throw GraphParseError("cannot read graph file '" + path + "'");
+    const std::string text = readGraphFile(path);
     try {
-        return loadGraph(text.str());
+        return loadGraph(text);
     } catch (const GraphParseError &err) {
         throw GraphParseError::inFile(err, path);
     }

@@ -26,12 +26,25 @@
  * names and nesting past json::maxDepth are all rejected with a typed
  * GraphParseError carrying the 1-based source line and the offending
  * field -- never an abort, because the input is a user file, not
- * program state. Field paths are built only when throwing. Writing goes through the
- * shared json::Writer (compact, %.17g lossless doubles), so a
- * load -> save cycle of a saved document is byte-identical, and
- * reconstruction replays Graph::add in document order, so the loaded
- * graph's signature() equals the saved graph's -- sim::MemoCache and
- * the sweep journal key on it unchanged.
+ * program state. Field paths are built only for an error.
+ *
+ * It reads the document in one pass from a json::Reader, with no node
+ * array, and adds each op to the graph as soon as it is checked. A
+ * saved document lists each op's fields in the order saveGraph writes
+ * them, so each key is first compared in place with the one expected
+ * there and read in full only when it differs; integer tokens are
+ * converted as they are scanned. Any order and spelling of the keys
+ * loads the same graph. When a document has several errors, a syntax
+ * error anywhere wins; otherwise the root's unknown or duplicate
+ * fields, then its fields in slot order (schema_version, name, ops),
+ * then the ops by index, each op's unknown or duplicate fields before
+ * its fields in slot order.
+ *
+ * Writing goes through the shared json::Writer (compact, %.17g
+ * lossless doubles), so a load -> save cycle of a saved document is
+ * byte-identical, and reconstruction replays Graph::add in document
+ * order, so the loaded graph's signature() equals the saved graph's --
+ * sim::MemoCache and the sweep journal key on it unchanged.
  */
 
 #ifndef HPIM_NN_GRAPH_IO_HH
@@ -99,6 +112,10 @@ std::string graphToJson(const Graph &graph);
 
 /** Parse and validate one graph document. Throws GraphParseError. */
 Graph loadGraph(const std::string &text);
+
+/** @return the bytes of @p path. Throws GraphParseError when the file
+ *  cannot be opened or read (a directory, say). */
+std::string readGraphFile(const std::string &path);
 
 /**
  * Read @p path and load the graph it holds. Throws GraphParseError

@@ -6,11 +6,13 @@
  * point of a fig8 or fault sweep trains one of the same five model
  * graphs (nn::buildModel), and every RC/OP variant of a fig13 point
  * re-profiles the same graph against the same CPU (rt::HeteroRuntime).
- * The cache keys such results on a canonical FNV-1a
- * hash of *all* inputs (sim/hash.hh) and reuses them on exact match
- * only, so cached and uncached runs are bit-identical by
- * construction -- a hit returns the very object an identical
- * computation produced. Entries hold whole results (a built graph, a
+ * The cache keys such results on a 64-bit hash of *all* inputs: an
+ * FNV-1a mix of their words and the tag (sim/hash.hh), where a graph
+ * enters as its signature, a multiply-xorshift fold of every op
+ * (nn/graph.hh), and a user document as the FNV-1a of its text. It
+ * reuses them on exact match only, so cached and uncached runs are
+ * bit-identical by construction, unless 64 bits collide -- a hit
+ * returns the very object an identical computation produced. Entries hold whole results (a built graph, a
  * prepared profile and selection), never per-op pieces: one op's
  * analytic cost takes a few divisions, less than a lookup.
  *
