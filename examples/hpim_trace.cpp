@@ -30,7 +30,6 @@
 #include <iostream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "harness/sweep.hh"
 #include "harness/table_printer.hh"
 #include "sim/logging.hh"
+#include "sim/read_all.hh"
 
 namespace {
 
@@ -75,10 +75,9 @@ readFile(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     fatal_if(!in, "cannot open trace file '", path, "'");
-    std::ostringstream text;
-    text << in.rdbuf();
-    fatal_if(!in && !in.eof(), "failed reading '", path, "'");
-    return text.str();
+    std::optional<std::string> text = sim::readAll(in);
+    fatal_if(!text, "cannot read trace file '", path, "'");
+    return std::move(*text);
 }
 
 /** Read the events of a parsed trace document; a missing key or a

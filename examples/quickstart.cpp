@@ -16,7 +16,7 @@
 
 #include "baseline/presets.hh"
 #include "harness/table_printer.hh"
-#include "nn/builder.hh"
+#include "nn/graph_builder.hh"
 #include "rt/hetero_runtime.hh"
 
 int
@@ -25,16 +25,17 @@ main()
     using namespace hpim;
     using harness::fmt;
 
-    // 1. A LeNet-ish model on 32x32 inputs, batch 32. The builder
-    //    emits the forward ops, the TensorFlow-style backward pass,
-    //    and one ApplyAdam per parameter tensor.
-    nn::CnnBuilder builder("quickstart-cnn",
-                           nn::TensorShape{32, 32, 32, 3});
-    builder.conv(5, 32, 1).maxPool(2, 2);
-    builder.conv(5, 64, 1).maxPool(2, 2);
-    builder.fc(512).dropout();
-    builder.fc(10, /*relu=*/false);
-    nn::Graph step = builder.finish();
+    // 1. A LeNet-ish model on 32x32 inputs, batch 32. Each builder
+    //    call emits its forward ops; trainingStep() adds the
+    //    TensorFlow-style backward pass and one ApplyAdam per
+    //    parameter tensor.
+    nn::Builder builder("quickstart-cnn");
+    nn::TensorRef x = builder.input(nn::TensorShape{32, 32, 32, 3});
+    x = builder.maxPool(builder.conv2d(x, 5, 32, 1), 2, 2);
+    x = builder.maxPool(builder.conv2d(x, 5, 64, 1), 2, 2);
+    x = builder.dropout(builder.dense(builder.flatten(x), 512));
+    x = builder.dense(x, 10, /*relu=*/false);
+    nn::Graph step = builder.trainingStep(x);
 
     std::cout << "built '" << step.name() << "': " << step.size()
               << " ops per training step, "

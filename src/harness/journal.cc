@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "harness/failpoint.hh"
@@ -19,6 +20,7 @@
 #include "harness/report_io.hh"
 #include "sim/hash.hh"
 #include "sim/logging.hh"
+#include "sim/read_all.hh"
 #include "sim/rng.hh"
 
 namespace hpim::harness {
@@ -183,15 +185,16 @@ SweepJournal::Header
 readJournalHeader(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);
-    if (!is)
+    std::optional<std::string> text;
+    if (is)
+        text = hpim::sim::readAll(is);
+    if (!text)
         throw JournalFormatError("cannot read header", path);
-    std::ostringstream os;
-    os << is.rdbuf();
 
     SweepJournal::Header header;
     json::Value root;
     try {
-        root = json::parse(os.str());
+        root = json::parse(*text);
         header.schemaVersion =
             static_cast<int>(root.at("schema_version").asInt64());
     } catch (const json::Error &e) {
@@ -270,11 +273,12 @@ scanJournalRecords(const std::string &path, std::uint64_t points,
     if (tail_note)
         tail_note->clear();
     std::ifstream is(path, std::ios::binary);
-    if (!is)
+    std::optional<std::string> contents;
+    if (is)
+        contents = hpim::sim::readAll(is);
+    if (!contents)
         return false;
-    std::ostringstream os;
-    os << is.rdbuf();
-    const std::string text = os.str();
+    const std::string &text = *contents;
 
     std::size_t pos = 0;
     std::size_t keep = 0; // byte offset past the last good record

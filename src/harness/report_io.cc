@@ -1,7 +1,6 @@
 #include "harness/report_io.hh"
 
 #include <cerrno>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 
@@ -17,7 +16,7 @@ using hpim::rt::placedOnName;
 
 namespace {
 
-/** CSV version line; readCsv rejects any other version. */
+/** First line of a CSV document, naming its layout (reportCsvVersion). */
 const char *const kCsvVersionLine = "#hpim-report-csv v1";
 
 // Covers every report serialization: CLI stdout, inspect_schedule
@@ -122,41 +121,23 @@ class ObjectReader
     std::vector<bool> _used;
 };
 
-// ---- Strict CSV cell parsing. -------------------------------------
-
-double
-csvDouble(const std::string &cell, std::size_t line, const char *col)
+/** Write a CSV text cell: as is, unless it holds a comma, a quote, CR
+ *  or LF; then inside double quotes with each inner quote doubled
+ *  (RFC 4180). A user graph's name is free text. */
+void
+csvText(std::ostream &os, const std::string &cell)
 {
-    errno = 0;
-    char *end = nullptr;
-    double value = std::strtod(cell.c_str(), &end);
-    if (cell.empty() || end != cell.c_str() + cell.size())
-        throw ParseError("expected a number, got '" + cell + "'", line,
-                         col);
-    return value;
-}
-
-std::uint64_t
-csvU64(const std::string &cell, std::size_t line, const char *col)
-{
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(cell.c_str(), &end, 10);
-    if (cell.empty() || end != cell.c_str() + cell.size()
-        || cell[0] == '-' || errno == ERANGE)
-        throw ParseError("expected a non-negative integer, got '"
-                             + cell + "'",
-                         line, col);
-    return value;
-}
-
-std::uint32_t
-csvU32(const std::string &cell, std::size_t line, const char *col)
-{
-    std::uint64_t value = csvU64(cell, line, col);
-    if (value > std::numeric_limits<std::uint32_t>::max())
-        throw ParseError("value out of 32-bit range", line, col);
-    return static_cast<std::uint32_t>(value);
+    if (cell.find_first_of(",\"\r\n") == std::string::npos) {
+        os << cell;
+        return;
+    }
+    os << '"';
+    for (char c : cell) {
+        if (c == '"')
+            os << '"';
+        os << c;
+    }
+    os << '"';
 }
 
 } // namespace
@@ -176,8 +157,10 @@ writeCsvHeader(std::ostream &os)
 void
 writeCsvRow(std::ostream &os, const ExecutionReport &report)
 {
-    os << report.configName << ',' << report.workloadName << ','
-       << report.stepsSimulated << ',' << num(report.stepSec) << ','
+    csvText(os, report.configName);
+    os << ',';
+    csvText(os, report.workloadName);
+    os << ',' << report.stepsSimulated << ',' << num(report.stepSec) << ','
        << num(report.opSec) << ',' << num(report.dataMovementSec)
        << ',' << num(report.syncSec) << ',' << num(report.cpuBusySec)
        << ',' << num(report.progrBusySec) << ','
@@ -481,91 +464,6 @@ readJson(const std::string &text)
     } catch (const json::Error &e) {
         throw ParseError(e.what(), e.line);
     }
-}
-
-std::vector<ExecutionReport>
-readCsv(std::istream &is)
-{
-    std::string line;
-    std::size_t line_no = 1;
-    if (!std::getline(is, line) || line != kCsvVersionLine)
-        throw ParseError("missing '" + std::string(kCsvVersionLine)
-                             + "' version line",
-                         line_no);
-
-    std::ostringstream expected_os;
-    writeCsvHeader(expected_os);
-    std::string expected = expected_os.str();
-    expected.pop_back(); // writeCsvHeader appends '\n'
-    ++line_no;
-    if (!std::getline(is, line) || line != expected)
-        throw ParseError("header row does not match CSV v"
-                             + std::to_string(reportCsvVersion),
-                         line_no);
-
-    // Column names, for error messages.
-    std::vector<std::string> columns;
-    {
-        std::istringstream hs(expected);
-        std::string col;
-        while (std::getline(hs, col, ','))
-            columns.push_back(col);
-    }
-
-    std::vector<ExecutionReport> reports;
-    while (std::getline(is, line)) {
-        ++line_no;
-        if (line.empty())
-            throw ParseError("blank row", line_no);
-        std::vector<std::string> cells;
-        std::string::size_type start = 0;
-        for (;;) {
-            auto comma = line.find(',', start);
-            cells.push_back(line.substr(start, comma - start));
-            if (comma == std::string::npos)
-                break;
-            start = comma + 1;
-        }
-        if (cells.size() != columns.size())
-            throw ParseError("expected "
-                                 + std::to_string(columns.size())
-                                 + " columns, got "
-                                 + std::to_string(cells.size()),
-                             line_no);
-
-        std::size_t c = 0;
-        auto col = [&]() { return columns[c].c_str(); };
-        ExecutionReport r;
-        r.configName = cells[c++];
-        r.workloadName = cells[c++];
-        r.stepsSimulated = csvU32(cells[c], line_no, col()); ++c;
-        r.stepSec = csvDouble(cells[c], line_no, col()); ++c;
-        r.opSec = csvDouble(cells[c], line_no, col()); ++c;
-        r.dataMovementSec = csvDouble(cells[c], line_no, col()); ++c;
-        r.syncSec = csvDouble(cells[c], line_no, col()); ++c;
-        r.cpuBusySec = csvDouble(cells[c], line_no, col()); ++c;
-        r.progrBusySec = csvDouble(cells[c], line_no, col()); ++c;
-        r.fixedUnitSeconds = csvDouble(cells[c], line_no, col()); ++c;
-        r.fixedUtilization = csvDouble(cells[c], line_no, col()); ++c;
-        r.hostLaunches = csvU64(cells[c], line_no, col()); ++c;
-        r.recursiveLaunches = csvU64(cells[c], line_no, col()); ++c;
-        r.linkBytes = csvDouble(cells[c], line_no, col()); ++c;
-        r.internalBytes = csvDouble(cells[c], line_no, col()); ++c;
-        r.energyPerStepJ = csvDouble(cells[c], line_no, col()); ++c;
-        r.averagePowerW = csvDouble(cells[c], line_no, col()); ++c;
-        r.edp = csvDouble(cells[c], line_no, col()); ++c;
-        r.transientFaults = csvU64(cells[c], line_no, col()); ++c;
-        r.kernelStalls = csvU64(cells[c], line_no, col()); ++c;
-        r.retries = csvU64(cells[c], line_no, col()); ++c;
-        r.opsDegraded = csvU64(cells[c], line_no, col()); ++c;
-        r.opsEvicted = csvU64(cells[c], line_no, col()); ++c;
-        r.retryBackoffSec = csvDouble(cells[c], line_no, col()); ++c;
-        r.banksFailed = csvU32(cells[c], line_no, col()); ++c;
-        r.unitsLost = csvU32(cells[c], line_no, col()); ++c;
-        r.throttleEvents = csvU64(cells[c], line_no, col()); ++c;
-        reports.push_back(std::move(r));
-    }
-    return reports;
 }
 
 } // namespace hpim::harness

@@ -2,24 +2,23 @@
  * @file
  * ExecutionReport serialization: CSV rows (for plotting scripts) and
  * a JSON object (for dashboards / regression tracking / the sweep
- * journal), plus the strict parsers that read both formats back.
+ * journal), plus the strict parser that reads the JSON form back.
  *
- * The on-disk formats are versioned (reportSchemaVersion): writeCsv
- * leads with a `#hpim-report-csv vN` line and writeJson emits a
- * `schema_version` field, and the readers reject any other version
- * instead of guessing. Doubles are written with max_digits10
- * precision, so a write -> read -> write cycle is byte-identical --
- * the property the crash-safe sweep journal (harness/journal) is
- * built on. Parse failures carry the offending line and field in a
- * typed ParseError rather than aborting, so a caller holding a
- * half-written file (the crash case) can drop the bad tail and keep
- * the good prefix.
+ * The formats are versioned: writeCsv leads with a
+ * `#hpim-report-csv vN` line (reportCsvVersion) and writeJson emits a
+ * `schema_version` field (reportSchemaVersion), which the JSON reader
+ * checks instead of guessing. Doubles are written with max_digits10
+ * precision, so a JSON write -> read -> write cycle is
+ * byte-identical -- the property the crash-safe sweep journal
+ * (harness/journal) is built on. Parse failures carry the offending
+ * line and field in a typed ParseError rather than aborting, so a
+ * caller holding a half-written file (the crash case) can drop the
+ * bad tail and keep the good prefix.
  */
 
 #ifndef HPIM_HARNESS_REPORT_IO_HH
 #define HPIM_HARNESS_REPORT_IO_HH
 
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -42,7 +41,7 @@ constexpr int reportSchemaVersion = 2;
 /**
  * Version of the CSV layout, tracked separately: v2 of the JSON
  * schema left the CSV columns untouched (metrics are JSON-only), so
- * CSV documents remain v1 and stay readable by older tooling.
+ * CSV documents remain v1.
  */
 constexpr int reportCsvVersion = 1;
 
@@ -64,10 +63,11 @@ struct ParseError : std::runtime_error
     std::string field; ///< offending field/column, may be empty
 };
 
-/** Write the CSV header matching reportToCsvRow(). */
+/** Write the CSV header matching writeCsvRow(). */
 void writeCsvHeader(std::ostream &os);
 
-/** Write one report as a CSV row. */
+/** Write one report as a CSV row. The config and workload names are
+ *  quoted when they hold a comma, a quote, CR or LF (RFC 4180). */
 void writeCsvRow(std::ostream &os,
                  const hpim::rt::ExecutionReport &report);
 
@@ -94,16 +94,6 @@ hpim::rt::ExecutionReport readJson(const std::string &text);
 
 /** Parse an already-parsed JSON object (journal records reuse this). */
 hpim::rt::ExecutionReport reportFromJson(const json::Value &root);
-
-/**
- * Parse a writeCsv document: version line, header, then one report
- * per row. Strict: a wrong version, an unexpected header, a row with
- * the wrong arity or a non-numeric cell throws ParseError with the
- * line and column name. Fields the CSV does not carry (per-device
- * energy, placements, capacity timeline) stay default-initialized;
- * only the JSON form is lossless.
- */
-std::vector<hpim::rt::ExecutionReport> readCsv(std::istream &is);
 
 } // namespace hpim::harness
 

@@ -9,10 +9,12 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "harness/failpoint.hh"
 #include "harness/json.hh"
+#include "sim/read_all.hh"
 
 namespace hpim::harness {
 
@@ -135,14 +137,15 @@ checkClaimFile(const std::string &path, std::uint64_t points)
 {
     checkMergeRead(path);
     std::ifstream is(path, std::ios::binary);
-    if (!is)
+    std::optional<std::string> text;
+    if (is)
+        text = hpim::sim::readAll(is);
+    if (!text)
         throw ShardMergeError("cannot read leftover claim record",
                               path);
-    std::ostringstream os;
-    os << is.rdbuf();
     std::uint64_t index = 0;
     try {
-        json::Value root = json::parse(os.str());
+        json::Value root = json::parse(*text);
         index = root.at("index").asUInt64();
         (void)root.at("shard").asUInt64();
     } catch (const json::Error &e) {

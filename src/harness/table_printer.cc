@@ -55,22 +55,6 @@ TablePrinter::print(std::ostream &os) const
     rule();
 }
 
-void
-TablePrinter::printCsv(std::ostream &os) const
-{
-    auto emit = [&os](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c)
-                os << ',';
-            os << cells[c];
-        }
-        os << '\n';
-    };
-    emit(_headers);
-    for (const auto &row : _rows)
-        emit(row);
-}
-
 std::string
 fmt(double value, int digits)
 {

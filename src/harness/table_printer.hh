@@ -1,6 +1,6 @@
 /**
  * @file
- * Text-table and CSV output helpers shared by the bench harnesses.
+ * Text-table output helpers shared by the bench harnesses.
  */
 
 #ifndef HPIM_HARNESS_TABLE_PRINTER_HH
@@ -24,9 +24,6 @@ class TablePrinter
 
     /** Render with aligned columns. */
     void print(std::ostream &os) const;
-
-    /** Render as CSV. */
-    void printCsv(std::ostream &os) const;
 
     std::size_t rows() const { return _rows.size(); }
 

@@ -218,7 +218,6 @@ Builder::pool(TensorRef x, TapeKind kind, std::int64_t kh,
     fatal_if(kh < 1 || kw < 1 || sh < 1 || sw < 1,
              "pool needs window and strides >= 1 (got ", kh, "x", kw,
              " stride ", sh, "/", sw, ")");
-    const bool square = kh == kw && sh == sw;
     const bool max = kind == TapeKind::MaxPool;
     TapeRecord rec;
     rec.kind = kind;
@@ -231,12 +230,9 @@ Builder::pool(TensorRef x, TapeKind kind, std::int64_t kh,
     rec.label = layerLabel(max ? "maxpool" : "avgpool");
 
     OpType type = max ? OpType::MaxPool : OpType::AvgPool;
-    // The square path keeps calling poolCost so CnnBuilder-built
-    // graphs stay bit-for-bit identical.
-    CostStructure cost = square ? poolCost(type, in, kh, sh)
-                                : poolCost2d(type, in, kh, kw, sh, sw);
     OpId id = _graph.add(
-        type, rec.label + (max ? "/MaxPool" : "/AvgPool"), cost,
+        type, rec.label + (max ? "/MaxPool" : "/AvgPool"),
+        poolCost2d(type, in, kh, kw, sh, sw),
         fixedParallelism(type, 1, 0.0), depsOf(x));
     rec.fwdOp = id;
     TensorShape out{in.dim(0), ceilDiv(in.dim(1), sh),
@@ -895,11 +891,8 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
           case TapeKind::MaxPool:
             grad = _graph.add(
                 OpType::MaxPoolGrad, rec.label + "/MaxPoolGrad",
-                rec.kH == rec.kW && rec.sH == rec.sW
-                    ? poolCost(OpType::MaxPoolGrad, rec.inShape, rec.kH,
-                               rec.sH)
-                    : poolCost2d(OpType::MaxPoolGrad, rec.inShape,
-                                 rec.kH, rec.kW, rec.sH, rec.sW),
+                poolCost2d(OpType::MaxPoolGrad, rec.inShape, rec.kH,
+                           rec.kW, rec.sH, rec.sW),
                 fixedParallelism(OpType::MaxPoolGrad, 1, 0.0),
                 {grad, rec.fwdOp});
             contribute(rec.in0, grad);
@@ -907,11 +900,8 @@ Builder::trainingStep(TensorRef logits, Optimizer optimizer,
           case TapeKind::AvgPool:
             grad = _graph.add(
                 OpType::AvgPoolGrad, rec.label + "/AvgPoolGrad",
-                rec.kH == rec.kW && rec.sH == rec.sW
-                    ? poolCost(OpType::AvgPoolGrad, rec.inShape, rec.kH,
-                               rec.sH)
-                    : poolCost2d(OpType::AvgPoolGrad, rec.inShape,
-                                 rec.kH, rec.kW, rec.sH, rec.sW),
+                poolCost2d(OpType::AvgPoolGrad, rec.inShape, rec.kH,
+                           rec.kW, rec.sH, rec.sW),
                 fixedParallelism(OpType::AvgPoolGrad, 1, 0.0),
                 {grad});
             contribute(rec.in0, grad);

@@ -1,21 +1,22 @@
 /**
  * @file
- * The op-by-op graph builder: the public frontier for user workloads.
+ * The op-by-op graph builder: the public frontier for user workloads,
+ * and how every built-in model (nn/models.hh) is written.
  *
- * Builder generalizes the layer-level CnnBuilder (nn/builder.hh) into
- * a popart-BuilderImpl-style API: every method takes explicit
+ * A popart-BuilderImpl-style API: every method takes explicit
  * TensorRef operands, infers and validates the output shape, appends
  * the lowered cost-model ops to the Graph, and records a tape entry
  * so trainingStep() can later emit the TensorFlow-style backward pass
- * plus a pluggable optimizer (Adam, or plain SGD for GradPIM-style
+ * (Conv2DBackpropFilter/Input, MatMulGrad*, BiasAddGrad, ReluGrad,
+ * MaxPoolGrad, ...) plus a pluggable optimizer (Adam, giving the op
+ * mixes of paper Table I, or plain SGD for GradPIM-style
  * optimizer-heavy mixes). finishForward() instead closes the graph as
  * an inference workload (forward ops only, in the spirit of the
  * PIM-inference line of work in PAPERS.md).
  *
- * Determinism contract: for the linear single-activation chains
- * CnnBuilder builds, Builder emits byte-for-byte the same op
- * sequence -- same labels, same costs, same dependence lists -- so
- * CnnBuilder now delegates here and every built-in model keeps its
+ * Determinism contract: the same calls in the same order emit
+ * byte-for-byte the same op sequence -- same labels, same costs, same
+ * dependence lists -- so every built-in model keeps its pinned
  * Graph::signature() and its figure-bench output.
  *
  * Shape errors (rank mismatches, incompatible matmul dims, refs from
@@ -139,7 +140,7 @@ class Builder
     TensorRef mul(TensorRef a, TensorRef b);
 
     /** Unary elementwise Mul against an implicit same-shaped tensor
-     *  (GAN loss plumbing; CnnBuilder::mul compatibility). */
+     *  (GAN loss plumbing). */
     TensorRef mulChain(TensorRef x);
 
     /** Standalone activations. */
@@ -180,8 +181,8 @@ class Builder
      * Close the graph as one training step: softmax loss over
      * @p logits, reverse-mode backward pass over every tape entry on
      * the loss path, and one optimizer op per parameter tensor.
-     * @param extra_loss_muls small Mul ops around the loss (GAN-style
-     *        training; see CnnBuilder::finish)
+     * @param extra_loss_muls small Mul ops around the loss (GAN
+     *        training has many; see DCGAN's Table I row "Mul")
      */
     Graph trainingStep(TensorRef logits,
                        Optimizer optimizer = Optimizer::Adam,

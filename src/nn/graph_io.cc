@@ -12,6 +12,7 @@
 
 #include "harness/json.hh"
 #include "harness/json_writer.hh"
+#include "sim/read_all.hh"
 
 namespace hpim::nn {
 
@@ -640,15 +641,10 @@ readGraphFile(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         throw GraphParseError("cannot open graph file '" + path + "'");
-    // istream::read turns a failed read (EISDIR on a directory, EIO)
-    // into badbit; streaming rdbuf() would report it as an empty file.
-    std::string text;
-    char chunk[1 << 16];
-    while (in.read(chunk, sizeof chunk), in.gcount() > 0)
-        text.append(chunk, static_cast<std::size_t>(in.gcount()));
-    if (in.bad())
+    std::optional<std::string> text = hpim::sim::readAll(in);
+    if (!text)
         throw GraphParseError("cannot read graph file '" + path + "'");
-    return text;
+    return std::move(*text);
 }
 
 Graph

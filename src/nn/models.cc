@@ -1,8 +1,8 @@
 #include "nn/models.hh"
 
 #include <memory>
+#include <utility>
 
-#include "nn/builder.hh"
 #include "nn/graph_builder.hh"
 #include "sim/hash.hh"
 #include "sim/logging.hh"
@@ -41,6 +41,16 @@ modelName(ModelId model)
 }
 
 namespace {
+
+/** The classifier head VGG-19 and AlexNet share: FC 4096, 4096, 1000
+ *  over the flattened activation, with dropout after each hidden FC. */
+TensorRef
+classifierHead(Builder &b, TensorRef x)
+{
+    x = b.dropout(b.dense(b.flatten(x), 4096));
+    x = b.dropout(b.dense(x, 4096));
+    return b.dense(x, 1000, false);
+}
 
 Graph
 buildResolved(ModelId model, int batch)
@@ -96,34 +106,31 @@ allModels()
 Graph
 buildVgg19(int batch)
 {
-    CnnBuilder b("VGG-19", TensorShape{batch, 224, 224, 3});
-    // conv3-64 x2, pool
-    b.conv(3, 64, 1).conv(3, 64, 1).maxPool(2, 2);
-    // conv3-128 x2, pool
-    b.conv(3, 128, 1).conv(3, 128, 1).maxPool(2, 2);
-    // conv3-256 x4, pool
-    b.conv(3, 256, 1).conv(3, 256, 1).conv(3, 256, 1).conv(3, 256, 1);
-    b.maxPool(2, 2);
-    // conv3-512 x4, pool
-    b.conv(3, 512, 1).conv(3, 512, 1).conv(3, 512, 1).conv(3, 512, 1);
-    b.maxPool(2, 2);
-    // conv3-512 x4, pool
-    b.conv(3, 512, 1).conv(3, 512, 1).conv(3, 512, 1).conv(3, 512, 1);
-    b.maxPool(2, 2);
-    // FC 4096, 4096, 1000
-    b.fc(4096).dropout().fc(4096).dropout().fc(1000, false);
-    return b.finish();
+    Builder b("VGG-19");
+    TensorRef x = b.input(TensorShape{batch, 224, 224, 3});
+    // conv3 blocks of 64, 128, 256, 512 and 512 channels holding 2, 2,
+    // 4, 4 and 4 convs, each closed by a 2x2 max pool.
+    const std::pair<std::int64_t, int> blocks[] = {
+        {64, 2}, {128, 2}, {256, 4}, {512, 4}, {512, 4}};
+    for (auto [channels, convs] : blocks) {
+        for (int i = 0; i < convs; ++i)
+            x = b.conv2d(x, 3, channels, 1);
+        x = b.maxPool(x, 2, 2);
+    }
+    return b.trainingStep(classifierHead(b, x));
 }
 
 Graph
 buildAlexNet(int batch)
 {
-    CnnBuilder b("AlexNet", TensorShape{batch, 227, 227, 3});
-    b.conv(11, 96, 4).maxPool(3, 2);
-    b.conv(5, 256, 1).maxPool(3, 2);
-    b.conv(3, 384, 1).conv(3, 384, 1).conv(3, 256, 1).maxPool(3, 2);
-    b.fc(4096).dropout().fc(4096).dropout().fc(1000, false);
-    return b.finish();
+    Builder b("AlexNet");
+    TensorRef x = b.input(TensorShape{batch, 227, 227, 3});
+    x = b.maxPool(b.conv2d(x, 11, 96, 4), 3, 2);
+    x = b.maxPool(b.conv2d(x, 5, 256, 1), 3, 2);
+    x = b.conv2d(x, 3, 384, 1);
+    x = b.conv2d(x, 3, 384, 1);
+    x = b.maxPool(b.conv2d(x, 3, 256, 1), 3, 2);
+    return b.trainingStep(classifierHead(b, x));
 }
 
 Graph
@@ -134,33 +141,38 @@ buildDcgan(int batch)
     // Conv2DBackpropInput forward ops; the training step also contains
     // many small Mul/Slice ops from the two-player loss plumbing
     // (Table I: Mul x84, Slice is a top memory op).
-    CnnBuilder net("DCGAN", TensorShape{batch, 7, 7, 128});
-    net.slice();                       // z / minibatch plumbing
-    net.deconv(5, 64, 2).batchNorm();  // 14x14x64
-    net.deconv(5, 1, 2, false);        // 28x28x1 (tanh omitted)
+    Builder b("DCGAN");
+    TensorRef x = b.input(TensorShape{batch, 7, 7, 128});
+    x = b.slice(x);                           // z / minibatch plumbing
+    x = b.batchNorm(b.deconv2d(x, 5, 64, 2)); // 14x14x64
+    x = b.deconv2d(x, 5, 1, 2, false);        // 28x28x1 (tanh omitted)
     // Discriminator on the generated image.
-    net.conv(5, 64, 2).conv(5, 128, 2); // 14x14x64 -> 7x7x128
-    net.slice();
-    net.flatten().fc(1024).dropout().fc(1, false);
+    x = b.conv2d(x, 5, 64, 2);  // 14x14x64
+    x = b.conv2d(x, 5, 128, 2); // 7x7x128
+    x = b.slice(x);
+    x = b.dropout(b.dense(b.flatten(x), 1024));
+    x = b.dense(x, 1, false);
     // Extra generator/discriminator FC pairs to reflect both players'
     // updates in a single profiled step.
-    net.fc(64, true).fc(32, true).fc(16, true).fc(8, true);
-    return net.finish(/*extra_loss_muls=*/60);
+    for (std::int64_t units : {64, 32, 16, 8})
+        x = b.dense(x, units);
+    return b.trainingStep(x, Optimizer::Adam, /*extra_loss_muls=*/60);
 }
 
 Graph
 buildResNet50(int batch)
 {
-    CnnBuilder b("ResNet-50", TensorShape{batch, 224, 224, 3});
-    b.conv(7, 64, 2).batchNorm().maxPool(3, 2);
+    Builder b("ResNet-50");
+    TensorRef x = b.input(TensorShape{batch, 224, 224, 3});
+    x = b.maxPool(b.batchNorm(b.conv2d(x, 7, 64, 2)), 3, 2);
 
     // Bottleneck stages [3, 4, 6, 3]; the projection/identity adds are
     // modelled by the running chain; each bottleneck is 1x1, 3x3, 1x1.
-    auto bottleneck = [&b](std::int64_t mid, std::int64_t out,
-                           std::int64_t stride) {
-        b.conv(1, mid, stride).batchNorm();
-        b.conv(3, mid, 1).batchNorm();
-        b.conv(1, out, 1, false).batchNorm();
+    auto bottleneck = [&b, &x](std::int64_t mid, std::int64_t out,
+                               std::int64_t stride) {
+        x = b.batchNorm(b.conv2d(x, 1, mid, stride));
+        x = b.batchNorm(b.conv2d(x, 3, mid, 1));
+        x = b.batchNorm(b.conv2d(x, 1, out, 1, false));
     };
 
     for (int i = 0; i < 3; ++i)
@@ -175,56 +187,63 @@ buildResNet50(int batch)
     for (int i = 0; i < 2; ++i)
         bottleneck(512, 2048, 1);
 
-    b.avgPool(7, 7);
-    b.fc(1000, false);
-    return b.finish();
+    x = b.avgPool(x, 7, 7);
+    return b.trainingStep(b.dense(b.flatten(x), 1000, false));
 }
 
 Graph
 buildInceptionV3(int batch)
 {
-    CnnBuilder b("Inception-v3", TensorShape{batch, 299, 299, 3});
+    Builder b("Inception-v3");
+    TensorRef x = b.input(TensorShape{batch, 299, 299, 3});
+    // Every conv of this net is followed by a batch norm.
+    auto conv = [&b, &x](std::int64_t k, std::int64_t c_out,
+                         std::int64_t stride) {
+        x = b.batchNorm(b.conv2d(x, k, c_out, stride));
+    };
+
     // Stem.
-    b.conv(3, 32, 2).batchNorm();
-    b.conv(3, 32, 1).batchNorm();
-    b.conv(3, 64, 1).batchNorm().maxPool(3, 2);
-    b.conv(1, 80, 1).batchNorm();
-    b.conv(3, 192, 1).batchNorm().maxPool(3, 2);
+    conv(3, 32, 2);
+    conv(3, 32, 1);
+    conv(3, 64, 1);
+    x = b.maxPool(x, 3, 2);
+    conv(1, 80, 1);
+    conv(3, 192, 1);
+    x = b.maxPool(x, 3, 2);
 
     // Inception-A x3 (35x35): modelled as the four branch convs in
     // sequence plus a concat; branch widths follow the published net.
     for (int i = 0; i < 3; ++i) {
-        b.conv(1, 64, 1).batchNorm();
-        b.conv(5, 64, 1).batchNorm();
-        b.conv(3, 96, 1).batchNorm().conv(3, 96, 1).batchNorm();
-        b.conv(1, 32 + 32 * i, 1).batchNorm();
-        b.concat();
+        conv(1, 64, 1);
+        conv(5, 64, 1);
+        conv(3, 96, 1);
+        conv(3, 96, 1);
+        conv(1, 32 + 32 * i, 1);
+        x = b.concat(x);
     }
     // Reduction-A.
-    b.conv(3, 384, 2).batchNorm();
+    conv(3, 384, 2);
 
     // Inception-B x4 (17x17) with factorized 7x7 (modelled as 7-wide).
     for (int i = 0; i < 4; ++i) {
-        b.conv(1, 192, 1).batchNorm();
-        b.conv(7, 128 + 32 * (i % 2), 1).batchNorm();
-        b.conv(1, 192, 1).batchNorm();
-        b.concat();
+        conv(1, 192, 1);
+        conv(7, 128 + 32 * (i % 2), 1);
+        conv(1, 192, 1);
+        x = b.concat(x);
     }
     // Reduction-B.
-    b.conv(3, 320, 2).batchNorm();
+    conv(3, 320, 2);
 
     // Inception-C x2 (8x8).
     for (int i = 0; i < 2; ++i) {
-        b.conv(1, 320, 1).batchNorm();
-        b.conv(3, 384, 1).batchNorm();
-        b.conv(3, 448, 1).batchNorm();
-        b.concat();
+        conv(1, 320, 1);
+        conv(3, 384, 1);
+        conv(3, 448, 1);
+        x = b.concat(x);
     }
 
-    b.avgPool(8, 8);
-    b.dropout();
-    b.fc(1000, false);
-    return b.finish();
+    x = b.dropout(b.avgPool(x, 8, 8));
+    return b.trainingStep(b.dense(b.flatten(x), 1000, false));
 }
 
 Graph

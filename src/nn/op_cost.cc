@@ -193,37 +193,6 @@ activationCost(OpType type, const TensorShape &shape)
 }
 
 CostStructure
-poolCost(OpType type, const TensorShape &input, std::int64_t k,
-         std::int64_t stride)
-{
-    ConvDims d = convDims(input, stride);
-    double out = static_cast<double>(d.n) * d.h_out * d.w_out * d.c_in;
-    double window = static_cast<double>(k * k);
-    CostStructure c;
-    switch (type) {
-      case OpType::MaxPool:
-        c.specials = out * window; // compares
-        break;
-      case OpType::MaxPoolGrad:
-        c.specials = out * (window + 1.0); // argmax replay + scatter
-        break;
-      case OpType::AvgPool:
-        c.adds = out * window;
-        c.specials = out; // divide
-        break;
-      case OpType::AvgPoolGrad:
-        c.adds = out * window;
-        c.specials = out;
-        break;
-      default:
-        panic("poolCost: not a pooling op: ", opName(type));
-    }
-    c.bytesRead = static_cast<double>(input.bytes());
-    c.bytesWritten = out * elementBytes;
-    return c;
-}
-
-CostStructure
 poolCost2d(OpType type, const TensorShape &input, std::int64_t kh,
            std::int64_t kw, std::int64_t sh, std::int64_t sw)
 {

@@ -96,12 +96,8 @@ CostStructure biasAddGradCost(const TensorShape &shape,
 /** Cost of an activation function (Relu/Tanh/Sigmoid/grads). */
 CostStructure activationCost(OpType type, const TensorShape &shape);
 
-/** Cost of max/avg pooling with window k, stride s. */
-CostStructure poolCost(OpType type, const TensorShape &input,
-                       std::int64_t k, std::int64_t stride);
-
-/** Cost of pooling with a non-square window kh x kw, strides sh/sw.
- *  For a square window this matches poolCost exactly. */
+/** Cost of max/avg pooling (or its gradient) with a kh x kw window
+ *  and strides sh/sw. */
 CostStructure poolCost2d(OpType type, const TensorShape &input,
                          std::int64_t kh, std::int64_t kw,
                          std::int64_t sh, std::int64_t sw);

@@ -22,18 +22,6 @@ metricKindName(MetricKind kind)
     panic("obs: bad MetricKind ", static_cast<int>(kind));
 }
 
-MetricKind
-metricKindFromName(const std::string &name)
-{
-    if (name == "counter")
-        return MetricKind::Counter;
-    if (name == "gauge")
-        return MetricKind::Gauge;
-    if (name == "histogram")
-        return MetricKind::Histogram;
-    fatal("obs: unknown metric kind '", name, "'");
-}
-
 bool
 MetricSample::operator==(const MetricSample &other) const
 {

@@ -44,9 +44,6 @@ enum class MetricKind : std::uint8_t
 /** @return stable wire name ("counter"/"gauge"/"histogram"). */
 const char *metricKindName(MetricKind kind);
 
-/** @return parsed kind; fatal() on an unknown name. */
-MetricKind metricKindFromName(const std::string &name);
-
 /** Number of log2 buckets a histogram keeps (ilogb -64 .. 63). */
 inline constexpr std::size_t kHistogramBuckets = 128;
 

@@ -137,7 +137,7 @@ addRandomOp(nn::Graph &graph, sim::Rng &rng, std::uint32_t index,
         nn::TensorShape in{batch, rng.inRange(8, 32),
                            rng.inRange(8, 32), rng.inRange(1, 16)};
         graph.add(OpType::MaxPool, label,
-                  nn::poolCost(OpType::MaxPool, in, 2, 2),
+                  nn::poolCost2d(OpType::MaxPool, in, 2, 2, 2, 2),
                   nn::fixedParallelism(OpType::MaxPool, 1, 0.0),
                   inputs);
         break;

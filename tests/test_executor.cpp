@@ -10,7 +10,7 @@
 
 #include "baseline/presets.hh"
 #include "cpu/cpu_model.hh"
-#include "nn/builder.hh"
+#include "nn/graph_builder.hh"
 #include "nn/models.hh"
 #include "obs/metrics.hh"
 #include "rt/executor.hh"
@@ -28,9 +28,11 @@ namespace {
 nn::Graph
 tinyCnn()
 {
-    nn::CnnBuilder b("tiny", nn::TensorShape{4, 16, 16, 3});
-    b.conv(3, 8, 1).maxPool(2, 2).fc(10, false);
-    return b.finish();
+    nn::Builder b("tiny");
+    nn::TensorRef x =
+        b.conv2d(b.input(nn::TensorShape{4, 16, 16, 3}), 3, 8, 1);
+    x = b.flatten(b.maxPool(x, 2, 2));
+    return b.trainingStep(b.dense(x, 10, false));
 }
 
 ExecutionReport

@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for the op-by-op nn::Builder (docs/GRAPHS.md): per-op
- * shape inference and its edge cases, the CnnBuilder-equivalence
- * contract (byte-identical op streams, so equal signatures), the
+ * shape inference and its edge cases, pinned op streams, the
  * pluggable optimizer, gradient accumulation at fan-out, and the
  * death tests for invalid shapes and foreign/dangling refs.
  */
@@ -11,7 +10,6 @@
 
 #include <string>
 
-#include "nn/builder.hh"
 #include "nn/graph_builder.hh"
 
 using namespace hpim::nn;
@@ -79,14 +77,13 @@ TEST(GraphBuilder, MatmulAndTransposeShapes)
     EXPECT_EQ(b.shape(m), (TensorShape{8, 32}));
 }
 
-// ------------------------------------------- CnnBuilder equivalence
+// --------------------------------------------------- pinned op streams
+//
+// Recorded from the layer-level builder the built-in CNNs used to be
+// written on; they also pin the costs of square pooling windows.
 
 TEST(GraphBuilder, MatchesCnnBuilderOpStream)
 {
-    CnnBuilder legacy("net", TensorShape{2, 16, 16, 3});
-    legacy.conv(3, 8, 1).maxPool(2, 2).fc(10, false);
-    Graph expected = legacy.finish();
-
     Builder b("net");
     auto x = b.input(TensorShape{2, 16, 16, 3});
     x = b.conv2d(x, 3, 8, 1);
@@ -95,16 +92,12 @@ TEST(GraphBuilder, MatchesCnnBuilderOpStream)
     x = b.dense(x, 10, false);
     Graph got = b.trainingStep(x, Optimizer::Adam);
 
-    ASSERT_EQ(got.size(), expected.size());
-    EXPECT_EQ(got.signature(), expected.signature());
+    ASSERT_EQ(got.size(), 20u);
+    EXPECT_EQ(got.signature(), 9579795484832527866ull);
 }
 
 TEST(GraphBuilder, ForwardOnlyMatchesCnnBuilder)
 {
-    CnnBuilder legacy("net", TensorShape{1, 28, 28, 1});
-    legacy.conv(5, 6, 1).avgPool(2, 2).fc(10, false);
-    Graph expected = legacy.finishForwardOnly();
-
     Builder b("net");
     auto x = b.input(TensorShape{1, 28, 28, 1});
     x = b.conv2d(x, 5, 6, 1);
@@ -113,7 +106,8 @@ TEST(GraphBuilder, ForwardOnlyMatchesCnnBuilder)
     x = b.dense(x, 10, false);
     Graph got = b.finishForward();
 
-    EXPECT_EQ(got.signature(), expected.signature());
+    ASSERT_EQ(got.size(), 7u);
+    EXPECT_EQ(got.signature(), 13739996587087741844ull);
     EXPECT_EQ(got.countType(OpType::ApplyAdam), 0u);
     EXPECT_EQ(got.countType(OpType::SoftmaxGrad), 0u);
 }

@@ -1,11 +1,12 @@
 /**
  * @file
  * Degenerate-input coverage for the journal readers: empty files,
- * header-only segments, schema-version mismatches, truncated and
- * corrupt record tails, and headers whose `points` count disagrees
- * with the records on disk. These are exactly the shapes a crashed
- * or half-provisioned sweep leaves behind (docs/RESILIENCE.md), so
- * the readers must degrade predictably instead of trusting them.
+ * unreadable paths, header-only segments, schema-version mismatches,
+ * truncated and corrupt record tails, and headers whose `points`
+ * count disagrees with the records on disk. These are exactly the
+ * shapes a crashed or half-provisioned sweep leaves behind
+ * (docs/RESILIENCE.md), so the readers must degrade predictably
+ * instead of trusting them.
  */
 
 #include <gtest/gtest.h>
@@ -82,6 +83,21 @@ TEST(JournalHeader, GarbageThrows)
                  harness::JournalFormatError);
 }
 
+TEST(JournalHeader, DirectoryCannotBeRead)
+{
+    // A directory opens as a file, but every read of it fails
+    // (EISDIR): that is an unreadable header, not an empty document.
+    const std::string dir = ::testing::TempDir();
+    try {
+        harness::readJournalHeader(dir);
+        FAIL() << "a directory was read as a header";
+    } catch (const harness::JournalFormatError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "journal file '" + dir + "': cannot read header");
+        EXPECT_EQ(e.field, "");
+    }
+}
+
 TEST(JournalHeader, WriteReadRoundTrip)
 {
     ScratchFile file("roundtrip_header");
@@ -155,6 +171,18 @@ TEST(JournalScan, MissingFileReturnsFalse)
     EXPECT_FALSE(harness::scanJournalRecords(
         "/tmp/hpim_no_such_journal.records", 4, records));
     EXPECT_TRUE(records.empty());
+}
+
+TEST(JournalScan, DirectoryReturnsFalse)
+{
+    // Unreadable (EISDIR), so not an empty journal: a replay must stop
+    // instead of truncating the file to what it read.
+    std::vector<harness::RawRecord> records;
+    std::string tail_note = "sentinel";
+    EXPECT_FALSE(harness::scanJournalRecords(::testing::TempDir(), 4,
+                                             records, &tail_note));
+    EXPECT_TRUE(records.empty());
+    EXPECT_TRUE(tail_note.empty());
 }
 
 TEST(JournalScan, EmptyFileIsAValidEmptyJournal)

@@ -134,14 +134,6 @@ TEST(ObsMetrics, ConcurrentUpdatesAreLossless)
     EXPECT_EQ(buckets[0].count, 40000u);
 }
 
-TEST(ObsMetrics, KindNamesRoundTrip)
-{
-    for (MetricKind kind :
-         {MetricKind::Counter, MetricKind::Gauge, MetricKind::Histogram})
-        EXPECT_EQ(obs::metricKindFromName(obs::metricKindName(kind)),
-                  kind);
-}
-
 // ---- Snapshot -> report -> JSON -> report round trip. -------------
 
 namespace {

@@ -95,10 +95,10 @@ TEST(OpCost, ActivationsAreAllSpecial)
 TEST(OpCost, PoolingWindowsScaleCompares)
 {
     TensorShape input{1, 8, 8, 2};
-    CostStructure p2 = poolCost(OpType::MaxPool, input, 2, 2);
-    CostStructure p3 = poolCost(OpType::MaxPool, input, 3, 2);
+    CostStructure p2 = poolCost2d(OpType::MaxPool, input, 2, 2, 2, 2);
+    CostStructure p3 = poolCost2d(OpType::MaxPool, input, 3, 3, 2, 2);
     EXPECT_GT(p3.specials, p2.specials);
-    CostStructure avg = poolCost(OpType::AvgPool, input, 2, 2);
+    CostStructure avg = poolCost2d(OpType::AvgPool, input, 2, 2, 2, 2);
     EXPECT_GT(avg.adds, 0.0); // averaging is mul/add-ish
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for ExecutionReport CSV/JSON serialization and the
- * strict versioned parsers that read both formats back.
+ * strict versioned parser that reads the JSON form back.
  */
 
 #include <gtest/gtest.h>
@@ -473,71 +473,54 @@ TEST(JsonReader, IntegerTokensConvertAsFromCharsDoes)
     }
 }
 
-// ---- CSV parsing. -------------------------------------------------
+// ---- CSV bytes. ---------------------------------------------------
+
+namespace {
+
+/** The cells writeCsvRow writes after the workload for sample(). */
+const char *const kSampleCells =
+    ",4,0.10000000000000001,0.080000000000000002,0.014999999999999999,"
+    "0.0050000000000000001,0.02,0.29999999999999999,12.5,"
+    "0.72999999999999998,120,64,1250000000,9500000000,5,50,0.5,3,1,4,"
+    "2,1,0.00014999999999999999,1,14,6\n";
+
+} // namespace
 
 TEST(ReportIo, CsvRoundTripPreservesCarriedFields)
 {
-    std::ostringstream os;
-    writeCsv(os, {sample(), sample()});
-    std::istringstream is(os.str());
-    auto reports = readCsv(is);
-    ASSERT_EQ(reports.size(), 2u);
-    const auto &out = reports[0];
-    const auto in = sample();
-    EXPECT_EQ(out.configName, in.configName);
-    EXPECT_EQ(out.workloadName, in.workloadName);
-    EXPECT_EQ(out.stepsSimulated, in.stepsSimulated);
-    EXPECT_EQ(out.stepSec, in.stepSec);
-    EXPECT_EQ(out.fixedUtilization, in.fixedUtilization);
-    EXPECT_EQ(out.hostLaunches, in.hostLaunches);
-    EXPECT_EQ(out.energyPerStepJ, in.energyPerStepJ);
-    EXPECT_EQ(out.transientFaults, in.transientFaults);
-    EXPECT_EQ(out.retryBackoffSec, in.retryBackoffSec);
-    EXPECT_EQ(out.banksFailed, in.banksFailed);
-    EXPECT_EQ(out.throttleEvents, in.throttleEvents);
-
-    // And a re-serialization of what the CSV carries is identical.
-    std::ostringstream again;
-    writeCsv(again, reports);
-    EXPECT_EQ(again.str(), os.str());
-}
-
-TEST(ReportIo, CsvParserRejectsMissingVersionLine)
-{
-    std::istringstream is("config,workload\nfoo,bar\n");
-    try {
-        readCsv(is);
-        FAIL() << "unversioned CSV accepted";
-    } catch (const ParseError &e) {
-        EXPECT_EQ(e.line, 1u);
-    }
-}
-
-TEST(ReportIo, CsvParserRejectsBadCellWithLineAndColumn)
-{
+    // The exact document: version line, header, then every carried
+    // field at max_digits10.
     std::ostringstream os;
     writeCsv(os, {sample()});
-    std::string text = os.str();
-    auto pos = text.find("AlexNet,4,"); // steps cell of the data row
-    ASSERT_NE(pos, std::string::npos);
-    text.replace(pos, std::strlen("AlexNet,4,"), "AlexNet,banana,");
-    std::istringstream is(text);
-    try {
-        readCsv(is);
-        FAIL() << "non-numeric cell accepted";
-    } catch (const ParseError &e) {
-        EXPECT_EQ(e.line, 3u);
-        EXPECT_EQ(e.field, "steps");
-    }
+    EXPECT_EQ(os.str(),
+              "#hpim-report-csv v1\n"
+              "config,workload,steps,step_s,op_s,data_movement_s,sync_s,"
+              "cpu_busy_s,progr_busy_s,fixed_unit_s,fixed_utilization,"
+              "host_launches,recursive_launches,link_bytes,"
+              "internal_bytes,energy_per_step_j,avg_power_w,edp,"
+              "transient_faults,kernel_stalls,retries,ops_degraded,"
+              "ops_evicted,retry_backoff_s,banks_failed,units_lost,"
+              "throttle_events\n"
+              "Hetero PIM,AlexNet"
+                  + std::string(kSampleCells));
 }
 
-TEST(ReportIo, CsvParserRejectsShortRow)
+TEST(ReportIo, CsvQuotesTextCellsThatNeedIt)
 {
-    std::ostringstream os;
-    writeCsv(os, {sample()});
-    std::string text = os.str();
-    text.erase(text.rfind(','));     // drop last column + value
-    text += "\n";
-    std::istringstream is(text);
-    EXPECT_THROW(readCsv(is), ParseError);
+    // A user graph's name is free text: a comma, quote, CR or LF puts
+    // the cell in double quotes with inner quotes doubled (RFC 4180),
+    // so the row keeps the header's arity.
+    rt::ExecutionReport r = sample();
+    r.workloadName = "edge,cnn \"v2\"";
+    std::ostringstream row;
+    writeCsvRow(row, r);
+    EXPECT_EQ(row.str(), "Hetero PIM,\"edge,cnn \"\"v2\"\"\""
+                             + std::string(kSampleCells));
+
+    r.configName = "two\r\nlines";
+    r.workloadName = "plain";
+    std::ostringstream crlf;
+    writeCsvRow(crlf, r);
+    EXPECT_EQ(crlf.str(),
+              "\"two\r\nlines\",plain" + std::string(kSampleCells));
 }

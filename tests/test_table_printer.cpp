@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the table/CSV output helpers.
+ * Unit tests for the text-table output helpers.
  */
 
 #include <gtest/gtest.h>
@@ -22,15 +22,6 @@ TEST(TablePrinter, AlignsColumns)
     EXPECT_NE(text.find("| model  | time   |"), std::string::npos);
     EXPECT_NE(text.find("| VGG-19 | 1.5    |"), std::string::npos);
     EXPECT_EQ(table.rows(), 2u);
-}
-
-TEST(TablePrinter, CsvOutput)
-{
-    TablePrinter table({"a", "b"});
-    table.addRow({"1", "2"});
-    std::ostringstream os;
-    table.printCsv(os);
-    EXPECT_EQ(os.str(), "a,b\n1,2\n");
 }
 
 TEST(TablePrinterDeath, RowAritiesChecked)
