@@ -8,17 +8,31 @@
 
 namespace hpim::harness::json {
 
-std::string
-numberToString(double value)
+namespace {
+
+/** Room for any double formatDouble() writes. */
+constexpr std::size_t kDoubleChars = 40;
+
+/** Write @p value into @p buf as numberToString() spells it; @return
+ *  the end of the text. */
+char *
+formatDouble(char (&buf)[kDoubleChars], double value)
 {
     // Specified to print the characters "%.17g" prints in the "C"
     // locale, without printf's format parsing.
-    char buf[40];
-    char *end = std::to_chars(buf, buf + sizeof buf, value,
-                              std::chars_format::general,
-                              std::numeric_limits<double>::max_digits10)
-                    .ptr;
-    return std::string(buf, end);
+    return std::to_chars(buf, buf + kDoubleChars, value,
+                         std::chars_format::general,
+                         std::numeric_limits<double>::max_digits10)
+        .ptr;
+}
+
+} // namespace
+
+std::string
+numberToString(double value)
+{
+    char buf[kDoubleChars];
+    return std::string(buf, formatDouble(buf, value));
 }
 
 Writer::~Writer()
@@ -100,10 +114,7 @@ Writer::key(std::string_view name)
     if (!_first.back())
         _os << ',';
     _first.back() = false;
-    std::string out = "\"";
-    escape(out, std::string(name));
-    out += "\":";
-    _os << out;
+    writeQuoted(name, "\":");
     _expect_value = true;
     return *this;
 }
@@ -112,10 +123,7 @@ Writer &
 Writer::value(std::string_view text)
 {
     preValue();
-    std::string out = "\"";
-    escape(out, std::string(text));
-    out += '"';
-    _os << out;
+    writeQuoted(text, "\"");
     if (_stack.empty())
         _root_done = true;
     return *this;
@@ -125,7 +133,9 @@ Writer &
 Writer::value(double number)
 {
     preValue();
-    _os << numberToString(number);
+    char buf[kDoubleChars];
+    const char *const end = formatDouble(buf, number);
+    _os.write(buf, end - buf);
     if (_stack.empty())
         _root_done = true;
     return *this;
@@ -159,6 +169,15 @@ Writer::value(bool flag)
     if (_stack.empty())
         _root_done = true;
     return *this;
+}
+
+void
+Writer::writeQuoted(std::string_view text, std::string_view close)
+{
+    _quoted.assign(1, '"');
+    escape(_quoted, text);
+    _quoted += close;
+    _os.write(_quoted.data(), static_cast<std::streamsize>(_quoted.size()));
 }
 
 bool

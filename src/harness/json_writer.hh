@@ -8,7 +8,10 @@
  * escaping rules and the lossless double format live in exactly one
  * place. Output is compact (no whitespace), doubles are printed with
  * max_digits10 significant digits so strtod() recovers the exact
- * value, and strings go through json::escape. The writer validates
+ * value, and strings go through json::escape. Text goes straight to
+ * the stream: a string is escaped into one buffer the writer reuses
+ * and a double is formatted on the stack, so a document costs a few
+ * allocations, not one or two per value. The writer validates
  * nesting as it goes: a key outside an object, a bare value where a
  * key is required, or an unbalanced end*() panics, because every
  * caller is program-generated output where such a slip is a bug.
@@ -77,11 +80,15 @@ class Writer
     /** Comma/colon bookkeeping before a value or container start. */
     void preValue();
 
+    /** Write '"', @p text escaped, then @p close. */
+    void writeQuoted(std::string_view text, std::string_view close);
+
     std::ostream &_os;
     std::vector<Frame> _stack;
     std::vector<bool> _first;   ///< first element of each open frame
     bool _expect_value = false; ///< a key was just written
     bool _root_done = false;
+    std::string _quoted; ///< writeQuoted()'s text, reused
 };
 
 } // namespace hpim::harness::json

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <string_view>
+#include <functional>
+#include <limits>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -58,6 +60,30 @@ foldText(std::uint64_t hash, std::string_view text)
     return hash;
 }
 
+/**
+ * Append @p items to @p array, naming the array @p what if it would
+ * pass 2^32 entries, which its 32-bit offsets cannot reach. @return
+ * where they start. @p items may view @p array itself: growing moves
+ * the array, so they are then copied from their new place.
+ */
+template <class T>
+std::uint32_t
+append(std::vector<T> &array, std::span<const T> items, const char *what)
+{
+    const std::size_t at = array.size();
+    fatal_if(items.size() > std::numeric_limits<std::uint32_t>::max() - at,
+             "graph ", what, " would pass 2^32");
+    const T *const base = array.data();
+    const bool inside = std::less_equal<const T *>()(base, items.data())
+                        && std::less<const T *>()(items.data(), base + at);
+    const std::size_t from =
+        inside ? static_cast<std::size_t>(items.data() - base) : 0;
+    array.resize(at + items.size());
+    std::copy_n(inside ? array.data() + from : items.data(), items.size(),
+                array.data() + at);
+    return static_cast<std::uint32_t>(at);
+}
+
 } // namespace
 
 Graph::Graph(std::string name) : _body(std::make_shared<Body>())
@@ -81,30 +107,37 @@ Graph::operator=(const Graph &other) noexcept
     return *this;
 }
 
-Graph::Body &
+std::shared_ptr<Graph::Body>
 Graph::ownBody()
 {
     // Not use_count(): it reads the count without acquiring, so a
     // count of one would not order this write after the reads of a
     // copy another thread just dropped.
-    if (_shared.load(std::memory_order_relaxed)) {
-        _body = std::make_shared<Body>(*_body);
-        _shared.store(false, std::memory_order_relaxed);
-    }
-    return *_body;
+    if (!_shared.load(std::memory_order_relaxed))
+        return nullptr;
+    _shared.store(false, std::memory_order_relaxed);
+    return std::exchange(_body, std::make_shared<Body>(*_body));
 }
 
 void
-Graph::reserve(std::size_t ops)
+Graph::reserve(std::size_t ops, std::size_t label_bytes,
+               std::size_t inputs)
 {
-    ownBody().ops.reserve(ops);
+    ownBody();
+    Body &body = *_body;
+    body.ops.reserve(ops);
+    body.labels.reserve(label_bytes);
+    body.inputs.reserve(inputs);
 }
 
 OpId
-Graph::add(OpType type, std::string label, CostStructure cost,
-           FixedParallelism parallelism, std::vector<OpId> inputs)
+Graph::add(OpType type, std::string_view label, CostStructure cost,
+           FixedParallelism parallelism, std::span<const OpId> inputs)
 {
-    Body &body = ownBody();
+    // The body a clone was made from holds what a view of this graph
+    // reads, so it must outlive the copies below.
+    const std::shared_ptr<Body> source = ownBody();
+    Body &body = *_body;
 
     OpId id = static_cast<OpId>(body.ops.size());
     for (OpId in : inputs) {
@@ -112,18 +145,11 @@ Graph::add(OpType type, std::string label, CostStructure cost,
                  " which does not precede it");
     }
 
-    Operation op;
-    op.id = id;
-    op.type = type;
-    op.label = std::move(label);
-    op.cost = cost;
-    op.parallelism = parallelism;
-    op.inputs = std::move(inputs);
-
-    // Fold this op into the structural signature (see graph.hh).
+    // Fold this op into the structural signature (see graph.hh) first:
+    // growing the arrays below moves what a view of them shows.
     std::uint64_t h =
         fold(body.signature, static_cast<std::uint64_t>(type));
-    h = foldText(h, op.label);
+    h = foldText(h, label);
     h = foldDouble(h, cost.muls);
     h = foldDouble(h, cost.adds);
     h = foldDouble(h, cost.specials);
@@ -131,52 +157,29 @@ Graph::add(OpType type, std::string label, CostStructure cost,
     h = foldDouble(h, cost.bytesWritten);
     h = fold(h, parallelism.unitsPerLane);
     h = foldDouble(h, parallelism.lanes);
-    h = fold(h, op.inputs.size());
-    for (OpId in : op.inputs)
+    h = fold(h, inputs.size());
+    for (OpId in : inputs)
         h = fold(h, in);
+
+    Operation op;
+    op.id = id;
+    op.type = type;
+    op.cost = cost;
+    op.parallelism = parallelism;
+    op._labelAt = append(body.labels, std::span<const char>(label),
+                         "label bytes");
+    op._labelSize = static_cast<std::uint32_t>(label.size());
+    op._inputsAt = append(body.inputs, inputs, "inputs");
+    op._inputCount = static_cast<std::uint32_t>(inputs.size());
+    body.ops.push_back(op);
     body.signature = h;
-
-    body.ops.push_back(std::move(op));
     return id;
 }
 
-std::size_t
-Graph::checkedIndex(OpId id) const
+void
+Graph::badId(OpId id) const
 {
-    panic_if(id >= size(), "op id ", id, " out of range");
-    return id;
-}
-
-const Operation &
-Graph::op(OpId id) const
-{
-    return _body->ops[checkedIndex(id)];
-}
-
-std::vector<OpId>
-Graph::topoOrder() const
-{
-    std::vector<OpId> order(size());
-    for (OpId i = 0; i < size(); ++i)
-        order[i] = i;
-    return order;
-}
-
-std::vector<OpId>
-Graph::readyOps(const std::vector<bool> &done) const
-{
-    panic_if(done.size() != size(), "done vector size mismatch");
-    std::vector<OpId> ready;
-    for (const Operation &op : ops()) {
-        if (done[op.id])
-            continue;
-        bool all_in = std::all_of(
-            op.inputs.begin(), op.inputs.end(),
-            [&done](OpId in) { return done[in]; });
-        if (all_in)
-            ready.push_back(op.id);
-    }
-    return ready;
+    panic("op id ", id, " out of range");
 }
 
 CostStructure
@@ -189,22 +192,12 @@ Graph::totalCost() const
 }
 
 std::size_t
-Graph::countType(OpType type) const
-{
-    return static_cast<std::size_t>(
-        std::count_if(ops().begin(), ops().end(),
-                      [type](const Operation &o) {
-                          return o.type == type;
-                      }));
-}
-
-std::size_t
 Graph::criticalPathLength() const
 {
     std::vector<std::size_t> depth(size(), 1);
     std::size_t longest = size() == 0 ? 0 : 1;
     for (const Operation &op : ops()) {
-        for (OpId in : op.inputs)
+        for (OpId in : inputs(op.id))
             depth[op.id] = std::max(depth[op.id], depth[in] + 1);
         longest = std::max(longest, depth[op.id]);
     }
@@ -217,7 +210,7 @@ consumerLists(const Graph &graph)
     ConsumerLists lists;
     lists.offsets.assign(graph.size() + 1, 0);
     for (const Operation &op : graph.ops())
-        for (OpId in : op.inputs)
+        for (OpId in : graph.inputs(op.id))
             ++lists.offsets[in + 1];
     for (std::size_t i = 1; i < lists.offsets.size(); ++i)
         lists.offsets[i] += lists.offsets[i - 1];
@@ -226,7 +219,7 @@ consumerLists(const Graph &graph)
     std::vector<std::size_t> next(lists.offsets.begin(),
                                   lists.offsets.end() - 1);
     for (const Operation &op : graph.ops())
-        for (OpId in : op.inputs)
+        for (OpId in : graph.inputs(op.id))
             lists.ids[next[in]++] = op.id;
     return lists;
 }

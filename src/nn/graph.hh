@@ -13,9 +13,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nn/op_cost.hh"
@@ -30,38 +32,43 @@ using OpId = std::uint32_t;
 /** Sentinel for "no op". */
 constexpr OpId invalidOp = ~OpId(0);
 
-/** One operation instance in a training step. */
+/**
+ * One operation instance in a training step. Its label and inputs sit
+ * in its graph's flat arrays, and the graph hands them out
+ * (Graph::label(), Graph::inputs()).
+ */
 struct Operation
 {
     OpId id = invalidOp;
     OpType type = OpType::MatMul;
-    std::string label;          ///< human-readable, e.g. "conv3_2/fprop"
     CostStructure cost;
     FixedParallelism parallelism;
-    std::vector<OpId> inputs;   ///< producer op ids
 
-    /** Work (flops) that can execute on fixed-function PIMs. */
-    double
-    fixedWork() const
-    {
-        return hasFixedPortion(type) ? cost.flops() : 0.0;
-    }
-
-    /** Work that must run on a programmable device. */
-    double specialWork() const { return cost.specials; }
+  private:
+    friend class Graph;
+    /** Where the label and the inputs sit in the graph's arrays. */
+    std::uint32_t _labelAt = 0, _labelSize = 0;
+    std::uint32_t _inputsAt = 0, _inputCount = 0;
 };
 
 /**
  * A training-step DAG.
  *
- * A value whose copies share one body: name, ops and the signature.
- * Copying a built model allocates nothing, which is what lets
- * sim::MemoCache hand the same graph to every sweep point.
- * Copying marks both graphs shared, and add() on a shared graph
+ * A value whose copies share one body: the name, the op records, one
+ * char array holding every label back to back, one OpId array holding
+ * every op's inputs back to back, and the signature. So an op costs no
+ * allocation of its own, and copying a built model allocates nothing,
+ * which is what lets sim::MemoCache hand the same graph to every sweep
+ * point. Copying marks both graphs shared, and add() on a shared graph
  * clones the body first, so a body that any copy has seen is never
  * written again: threads may read and copy one graph while others
  * add() to their own copies. Moving copies too, so a moved-from graph
  * still answers every query as before.
+ *
+ * op(), ops(), label() and inputs() return references and views into
+ * the body. add() invalidates those taken from the graph it is called
+ * on, as a std::vector's push_back() does; those taken from any other
+ * graph, a copy included, stay valid.
  */
 class Graph
 {
@@ -72,37 +79,52 @@ class Graph
     Graph &operator=(const Graph &other) noexcept;
 
     /**
-     * Append an operation.
+     * Append an operation, copying @p label and @p inputs into the
+     * body (either may view this very graph). Fatal when an input does
+     * not precede the new op, or when the labels or the inputs of the
+     * graph would pass 2^32 bytes or ids in all.
      * @return its id (ids are dense, insertion ordered)
      */
-    OpId add(OpType type, std::string label, CostStructure cost,
+    OpId add(OpType type, std::string_view label, CostStructure cost,
              FixedParallelism parallelism,
-             std::vector<OpId> inputs = {});
+             std::span<const OpId> inputs = {});
 
-    /** Make room for @p ops operations in all, so add() up to that
-     *  count does not reallocate. */
-    void reserve(std::size_t ops);
+    /** add() with the inputs written in place: g.add(..., {a, b}). */
+    OpId
+    add(OpType type, std::string_view label, CostStructure cost,
+        FixedParallelism parallelism, std::initializer_list<OpId> inputs)
+    {
+        return add(type, label, cost, parallelism,
+                   std::span<const OpId>(inputs.begin(), inputs.size()));
+    }
 
-    const Operation &op(OpId id) const;
+    /** Make room for @p ops operations, @p label_bytes bytes of labels
+     *  and @p inputs input ids in all, so add() within those counts
+     *  does not reallocate. */
+    void reserve(std::size_t ops, std::size_t label_bytes = 0,
+                 std::size_t inputs = 0);
+
+    /** @return op @p id (panics on a foreign id). */
+    const Operation &
+    op(OpId id) const
+    {
+        if (id >= size())
+            badId(id);
+        return _body->ops[id];
+    }
+
     std::size_t size() const { return _body->ops.size(); }
     const std::vector<Operation> &ops() const { return _body->ops; }
     const std::string &name() const { return _body->name; }
 
-    /**
-     * @return ids in a valid topological order.
-     * Since inputs must precede their consumers at add() time, the
-     * insertion order is already topological; this validates it.
-     */
-    std::vector<OpId> topoOrder() const;
+    /** @return the label of op @p id, e.g. "conv3_2/fprop". */
+    std::string_view label(OpId id) const;
 
-    /** @return ops with no unfinished producers given @p done flags. */
-    std::vector<OpId> readyOps(const std::vector<bool> &done) const;
+    /** @return the producers of op @p id, in the order add() got them. */
+    std::span<const OpId> inputs(OpId id) const;
 
     /** Sum of all op costs. */
     CostStructure totalCost() const;
-
-    /** Number of ops of the given type. */
-    std::size_t countType(OpType type) const;
 
     /** Longest path length (in ops) -- a depth/parallelism measure. */
     std::size_t criticalPathLength() const;
@@ -117,24 +139,45 @@ class Graph
     std::uint64_t signature() const { return _body->signature; }
 
   private:
-    /** Bounds-checked id -> index (panics on a foreign id). */
-    std::size_t checkedIndex(OpId id) const;
+    /** Panic on @p id, which no op of this graph has. */
+    [[noreturn]] void badId(OpId id) const;
 
     /** What copies share. */
     struct Body
     {
         std::string name;
         std::vector<Operation> ops;
+        std::vector<char> labels; ///< every op's label, back to back
+        std::vector<OpId> inputs; ///< every op's inputs, back to back
         std::uint64_t signature = 0;
     };
 
-    /** The body, cloned first if another graph holds or held it. */
-    Body &ownBody();
+    /** Clone the body first if another graph holds or held it.
+     *  @return the body it was cloned from, or null. */
+    std::shared_ptr<Body> ownBody();
 
     std::shared_ptr<Body> _body;
     /** Another graph holds, or held, this body (set by copies). */
     mutable std::atomic<bool> _shared{false};
 };
+
+inline std::string_view
+Graph::label(OpId id) const
+{
+    const Operation &o = op(id);
+    // subspan() checks the range when _GLIBCXX_ASSERTIONS is on.
+    const auto bytes = std::span<const char>(_body->labels)
+                           .subspan(o._labelAt, o._labelSize);
+    return {bytes.data(), bytes.size()};
+}
+
+inline std::span<const OpId>
+Graph::inputs(OpId id) const
+{
+    const Operation &o = op(id);
+    return std::span<const OpId>(_body->inputs)
+        .subspan(o._inputsAt, o._inputCount);
+}
 
 /**
  * The consumers of every op of one graph (its reverse adjacency) in

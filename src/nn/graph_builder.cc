@@ -79,13 +79,13 @@ Builder::input(TensorShape shape)
 }
 
 OpId
-Builder::rawOp(OpType type, std::string label, CostStructure cost,
-               FixedParallelism parallelism, std::vector<OpId> inputs)
+Builder::rawOp(OpType type, std::string_view label, CostStructure cost,
+               FixedParallelism parallelism,
+               std::initializer_list<OpId> inputs)
 {
     fatal_if(_finished,
              "Builder already finished; no further ops may be added");
-    return _graph.add(type, std::move(label), cost, parallelism,
-                      std::move(inputs));
+    return _graph.add(type, label, cost, parallelism, inputs);
 }
 
 const TensorShape &

@@ -30,7 +30,9 @@
 #define HPIM_NN_GRAPH_BUILDER_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nn/graph.hh"
@@ -160,9 +162,9 @@ class Builder
      * backward structure through the Builder while keeping their
      * exact historical op sequence.
      */
-    OpId rawOp(OpType type, std::string label, CostStructure cost,
+    OpId rawOp(OpType type, std::string_view label, CostStructure cost,
                FixedParallelism parallelism,
-               std::vector<OpId> inputs = {});
+               std::initializer_list<OpId> inputs = {});
 
     // ------------------------------------------------------ queries
 

@@ -58,6 +58,11 @@ constexpr std::size_t kMinOpBytes = [] {
     return bytes;
 }();
 
+/** The label bytes and input ids to reserve per op: more than a
+ *  Builder document's ops average (16 and 1.2), so most documents fill
+ *  the graph's arrays without growing them. */
+constexpr std::size_t kLabelBytesPerOp = 24, kInputsPerOp = 2;
+
 /** Nesting depths of a graph document's parts, as Reader counts them. */
 constexpr std::size_t kRootMemberDepth = 1, kOpDepth = 2,
                       kOpMemberDepth = 3, kInputDepth = 4;
@@ -342,7 +347,8 @@ class GraphReader
             holdRoot(Ops, "expected at least one op", line);
             return;
         }
-        graph.reserve(reserveFor(reader.rest()));
+        const std::size_t ops = reserveFor(reader.rest());
+        graph.reserve(ops, ops * kLabelBytesPerOp, ops * kInputsPerOp);
         std::size_t index = 0;
         do {
             if (index + 1 == invalidOp)
@@ -475,7 +481,6 @@ class GraphReader
         FieldSet<OpFieldCount> fields;
         SlotError error;
         OpType type = OpType::MatMul;
-        std::string label;
         CostStructure cost;
         FixedParallelism parallelism;
         if (reader.beginObject(kOpDepth)) {
@@ -502,9 +507,9 @@ class GraphReader
                         if (text.empty())
                             bad(error, k, "expected a non-empty label",
                                 value_line);
-                        // Sized to fit: assign() would give a label
-                        // of 16-29 bytes room for 30.
-                        label = std::string(text);
+                        // An escaped label is a view of the reader's
+                        // buffer, which the next string overwrites.
+                        _label.assign(text);
                     } else if (auto resolved = opTypeFromName(text)) {
                         type = *resolved;
                     } else {
@@ -567,8 +572,7 @@ class GraphReader
                                        fieldPath(index, kOpFields[k]));
             return;
         }
-        graph.add(type, std::move(label), cost, parallelism,
-                  std::vector<OpId>(_inputs.begin(), _inputs.end()));
+        graph.add(type, _label, cost, parallelism, _inputs);
     }
 
     Reader _reader;
@@ -582,7 +586,9 @@ class GraphReader
     std::string_view _deferredOps;
     std::size_t _deferredLine = 0;
     std::optional<GraphParseError> _opError;
-    std::vector<OpId> _inputs; ///< the op being read, reused
+    /** The label and inputs of the op being read, reused. */
+    std::string _label;
+    std::vector<OpId> _inputs;
 };
 
 } // namespace
@@ -599,7 +605,7 @@ saveGraph(std::ostream &os, const Graph &graph)
     for (const Operation &op : graph.ops()) {
         w.beginObject();
         w.field("type", opName(op.type));
-        w.field("label", op.label);
+        w.field("label", graph.label(op.id));
         w.field("muls", op.cost.muls);
         w.field("adds", op.cost.adds);
         w.field("specials", op.cost.specials);
@@ -608,7 +614,7 @@ saveGraph(std::ostream &os, const Graph &graph)
         w.field("units_per_lane", op.parallelism.unitsPerLane);
         w.field("lanes", op.parallelism.lanes);
         w.key("inputs").beginArray();
-        for (OpId dep : op.inputs)
+        for (OpId dep : graph.inputs(op.id))
             w.value(dep);
         w.endArray();
         w.endObject();

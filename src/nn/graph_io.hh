@@ -29,7 +29,10 @@
  * program state. Field paths are built only for an error.
  *
  * It reads the document in one pass from a json::Reader, with no node
- * array, and adds each op to the graph as soon as it is checked. A
+ * array, and adds each op to the graph as soon as it is checked. The
+ * op's label and inputs wait in two buffers the reader reuses, and the
+ * graph's arrays are reserved from the document's op count, so a load
+ * allocates a few times per document, not per op. A
  * saved document lists each op's fields in the order saveGraph writes
  * them, so each key is first compared in place with the one expected
  * there and read in full only when it differs; integer tokens are

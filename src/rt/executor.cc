@@ -126,6 +126,12 @@ Executor::op(const OpKey &key) const
     return _workloads[key.workload].spec.graph->ops()[key.op];
 }
 
+std::string_view
+Executor::label(const OpKey &key) const
+{
+    return _workloads[key.workload].spec.graph->label(key.op);
+}
+
 void
 Executor::obsSpan(const char *track_name, const OpKey &key,
                   double start_sec, double energy_j,
@@ -144,8 +150,8 @@ Executor::obsSpan(const char *track_name, const OpKey &key,
     args.push_back({"energy_j", energy_j});
     for (auto &arg : extra)
         args.push_back(std::move(arg));
-    session->span(session->track(track_name), op(key).label, start_sec,
-                  nowSec() - start_sec, std::move(args));
+    session->span(session->track(track_name), std::string(label(key)),
+                  start_sec, nowSec() - start_sec, std::move(args));
 }
 
 void
@@ -233,7 +239,7 @@ Executor::seedStep(std::uint32_t w, std::uint32_t step)
     wl.remainingOps[step] = static_cast<std::uint32_t>(graph.size());
     for (const Operation &o : graph.ops()) {
         states[o.id].remainingDeps =
-            static_cast<std::uint32_t>(o.inputs.size());
+            static_cast<std::uint32_t>(graph.inputs(o.id).size());
         if (states[o.id].remainingDeps == 0) {
             states[o.id].ready = true;
             pushReady(OpKey{w, step, o.id});
@@ -460,7 +466,7 @@ Executor::startOp(const OpKey &key, PlacedOn placement)
             st.traceLive.assign(st.ops.size(), 0);
         }
         st.traceToken[key.op] =
-            _trace->begin(op(key).label, key.op, placement,
+            _trace->begin(std::string(label(key)), key.op, placement,
                           key.workload, key.step, nowSec());
         st.traceLive[key.op] = 1;
     }

@@ -28,6 +28,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nn/graph.hh"
@@ -337,6 +338,7 @@ class Executor
 
     // ---- Helpers.
     const hpim::nn::Operation &op(const OpKey &key) const;
+    std::string_view label(const OpKey &key) const;
     OpState &state(const OpKey &key);
     StepState &stepState(const OpKey &key);
     /** Fresh live join slot for @p key (sizes the arrays on demand). */

@@ -82,7 +82,7 @@ validateSchedule(const ScheduleTrace &trace,
         for (std::uint32_t s = 0; s < steps[w]; ++s) {
             for (const auto &op : graph.ops()) {
                 const TraceEntry *self = index[Key{w, s, op.id}];
-                for (OpId in : op.inputs) {
+                for (OpId in : graph.inputs(op.id)) {
                     const TraceEntry *producer =
                         index[Key{w, s, in}];
                     if (self->startSec + kEps

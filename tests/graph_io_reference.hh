@@ -230,8 +230,7 @@ addOp(Graph &graph, const Value &node, std::size_t index)
                 dep.line(), path(Inputs));
         deps.push_back(static_cast<OpId>(dep_value));
     }
-    graph.add(*resolved, std::string(label.asString()), cost,
-              parallelism, std::move(deps));
+    graph.add(*resolved, label.asString(), cost, parallelism, deps);
 }
 
 /** The loader as it walked the tree of json::parse(). */

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -17,49 +16,17 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <new>
 #include <sstream>
 #include <string>
 
+#include "allocation_count.hh"
+#include "graph_queries.hh"
 #include "nn/graph_builder.hh"
 #include "nn/graph_io.hh"
 #include "nn/models.hh"
 
 using namespace hpim::nn;
-
-namespace {
-
-/** Global operator new calls, for the allocation pin. */
-std::atomic<std::size_t> g_allocations{0};
-
-} // namespace
-
-// GCC cannot tell that these replace the pair it matches free() to.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void *
-operator new(std::size_t size)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-#pragma GCC diagnostic pop
+using hpim::test::inputsOf;
 
 namespace {
 
@@ -149,8 +116,8 @@ TEST(GraphIo, RoundTripPreservesStructureAndSignature)
     EXPECT_EQ(r.signature(), g.signature());
     for (OpId id = 0; id < g.size(); ++id) {
         EXPECT_EQ(r.op(id).type, g.op(id).type);
-        EXPECT_EQ(r.op(id).label, g.op(id).label);
-        EXPECT_EQ(r.op(id).inputs, g.op(id).inputs);
+        EXPECT_EQ(r.label(id), g.label(id));
+        EXPECT_EQ(inputsOf(r, id), inputsOf(g, id));
         EXPECT_EQ(r.op(id).cost.muls, g.op(id).cost.muls);
         EXPECT_EQ(r.op(id).cost.bytesRead, g.op(id).cost.bytesRead);
         EXPECT_EQ(r.op(id).parallelism.unitsPerLane,
@@ -172,6 +139,68 @@ TEST(GraphIo, BuiltInModelsSurviveTheRoundTrip)
             << modelName(model);
         EXPECT_EQ(graphToJson(r), graphToJson(g));
     }
+}
+
+TEST(GraphIo, LongLabelsAndManyInputsRoundTrip)
+{
+    // Labels past a std::string's 15-byte inline buffer, one of 4000
+    // bytes, and an op with 300 inputs (a repeated one among them).
+    Graph g("wide-and-long");
+    const std::string long_label(4000, 'x');
+    std::vector<OpId> many;
+    for (OpId i = 0; i < 300; ++i) {
+        g.add(OpType::MatMul,
+              "layer" + std::to_string(i) + "/a-label-of-some-length",
+              CostStructure{}, FixedParallelism{});
+        many.push_back(i / 2 * 2);
+    }
+    g.add(OpType::Concat, long_label, CostStructure{},
+          FixedParallelism{}, many);
+    g.add(OpType::Relu, "tail/Relu", CostStructure{}, FixedParallelism{},
+          {300, 0, 300});
+
+    const std::string text = graphToJson(g);
+    const Graph r = loadGraph(text);
+    EXPECT_EQ(graphToJson(r), text);
+    EXPECT_EQ(r.signature(), g.signature());
+    EXPECT_EQ(r.label(300), long_label);
+    EXPECT_EQ(inputsOf(r, 300), many);
+    EXPECT_EQ(inputsOf(r, 301), (std::vector<OpId>{300, 0, 300}));
+    EXPECT_EQ(r.label(299), "layer299/a-label-of-some-length");
+}
+
+TEST(GraphIo, EscapedLabelBeforeEscapedTypeLoads)
+{
+    // Both strings decode into the reader's one buffer, so the label
+    // must be copied before the type is read.
+    const std::string text =
+        R"({"schema_version":1,"name":"escapes","ops":[)"
+        R"({"label":"conv\u0031/\"quoted\"\\path\tlong-enough",)"
+        R"("type":"Mat\u004dul","muls":1,"adds":1,"specials":0,)"
+        R"("bytes_read":4,"bytes_written":4,"units_per_lane":1,)"
+        R"("lanes":1,"inputs":[]}]})";
+    const std::string label = "conv1/\"quoted\"\\path\tlong-enough";
+    const Graph g = loadGraph(text);
+    ASSERT_EQ(g.size(), 1u);
+    EXPECT_EQ(g.op(0).type, OpType::MatMul);
+    EXPECT_EQ(g.label(0), label);
+
+    Graph built("escapes");
+    CostStructure cost;
+    cost.muls = cost.adds = 1;
+    cost.bytesRead = cost.bytesWritten = 4;
+    FixedParallelism parallelism;
+    parallelism.unitsPerLane = 1;
+    parallelism.lanes = 1;
+    built.add(OpType::MatMul, label, cost, parallelism);
+    EXPECT_EQ(g.signature(), built.signature());
+    const std::string saved = graphToJson(g);
+    EXPECT_EQ(saved, graphToJson(built));
+    EXPECT_EQ(graphToJson(loadGraph(saved)), saved);
+    EXPECT_NE(
+        saved.find(R"("label":"conv1/\"quoted\"\\path\tlong-enough")"),
+        std::string::npos)
+        << saved;
 }
 
 TEST(GraphIo, FileRoundTrip)
@@ -672,11 +701,10 @@ TEST(GraphIo, DeepNestingIsATypedError)
 
 TEST(GraphIo, LoadAllocatesAtMostFourTimesPerOp)
 {
-    // Global operator new calls made by loadGraph, bounded per op. The
-    // reader allocates a few times per document; the rest are the
-    // Graph's own: its body and op array, and per op a label too long
-    // for the string's inline buffer and an inputs array. The tree
-    // reader before the flat one made 13-15 per op.
+    // Global operator new calls made by loadGraph, bounded per op.
+    // Graphs whose ops each held their own label string and inputs
+    // vector made about 1.5 per op, and the tree reader before the
+    // flat one 13-15.
     for (const char *path : {"examples/graphs/transformer_train.json",
                              "examples/graphs/edge_cnn_infer.json"}) {
         const std::string text = readSourceFile(path);
@@ -692,12 +720,16 @@ TEST(GraphIo, LoadAllocatesAtMostFourTimesPerOp)
 TEST(GraphIo, LoadAllocationsArePinned)
 {
     // The exact count, so a new allocation per op or per document
-    // shows up as a test diff. Past the Graph's own, only the loader's
-    // inputs buffer allocates, reused across ops: once, and once more
-    // on the first file, whose longest inputs list has two entries.
+    // shows up as a test diff. The Graph's own: its body, its op,
+    // label and input arrays, reserved once, and the first file's
+    // name, too long for a string's inline buffer. The loader's: its
+    // label buffer, and its inputs buffer once, and once more on the
+    // first file, whose longest inputs list has two entries. Graphs
+    // whose ops each held a label string and an inputs vector made 109
+    // and 26.
     const std::pair<const char *, std::size_t> pins[] = {
-        {"examples/graphs/transformer_train.json", 109},
-        {"examples/graphs/edge_cnn_infer.json", 26},
+        {"examples/graphs/transformer_train.json", 8},
+        {"examples/graphs/edge_cnn_infer.json", 6},
     };
     for (const auto &[path, pinned] : pins) {
         const std::string text = readSourceFile(path);
@@ -743,4 +775,22 @@ TEST(GraphIo, CopyingABuiltModelAllocatesNothing)
     const Graph copy = built;
     EXPECT_EQ(g_allocations.load() - before, 0u);
     EXPECT_EQ(copy.signature(), built.signature());
+}
+
+TEST(GraphIo, AddToACopyOfABuiltModelClonesThreeArrays)
+{
+    // add() on a copy clones the body: the name, the op records, the
+    // labels and the inputs, then grows the last three. Graphs whose
+    // ops each held a label string and an inputs vector made 973
+    // allocations here.
+    const Graph built = buildResNet50();
+    const std::uint64_t signature = built.signature();
+    Graph copy = built;
+    const std::size_t before = g_allocations.load();
+    copy.add(OpType::Relu, "extra/Relu", CostStructure{},
+             FixedParallelism{}, {0});
+    const std::size_t allocations = g_allocations.load() - before;
+    EXPECT_LE(allocations, 8u) << allocations << " allocations";
+    EXPECT_EQ(built.signature(), signature);
+    EXPECT_EQ(copy.size(), built.size() + 1);
 }

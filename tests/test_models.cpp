@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include "graph_queries.hh"
 #include "nn/models.hh"
 
 using namespace hpim::nn;
+using hpim::test::countType;
+using hpim::test::readyOps;
 
 TEST(Models, PaperBatchSizes)
 {
@@ -36,15 +39,15 @@ TEST(Models, Vgg19MatchesTableOneInvocations)
     Graph g = buildVgg19();
     // Table I (VGG-19): Conv2DBackpropFilter x16,
     // Conv2DBackpropInput x15, Conv2D x16.
-    EXPECT_EQ(g.countType(OpType::Conv2D), 16u);
-    EXPECT_EQ(g.countType(OpType::Conv2DBackpropFilter), 16u);
-    EXPECT_EQ(g.countType(OpType::Conv2DBackpropInput), 15u);
+    EXPECT_EQ(countType(g, OpType::Conv2D), 16u);
+    EXPECT_EQ(countType(g, OpType::Conv2DBackpropFilter), 16u);
+    EXPECT_EQ(countType(g, OpType::Conv2DBackpropInput), 15u);
     // 16 conv + 3 fc bias grads = 19.
-    EXPECT_EQ(g.countType(OpType::BiasAddGrad), 19u);
-    EXPECT_EQ(g.countType(OpType::MaxPool), 5u);
-    EXPECT_EQ(g.countType(OpType::MaxPoolGrad), 5u);
+    EXPECT_EQ(countType(g, OpType::BiasAddGrad), 19u);
+    EXPECT_EQ(countType(g, OpType::MaxPool), 5u);
+    EXPECT_EQ(countType(g, OpType::MaxPoolGrad), 5u);
     // Relu on every conv and the two hidden fc layers.
-    EXPECT_EQ(g.countType(OpType::Relu), 18u);
+    EXPECT_EQ(countType(g, OpType::Relu), 18u);
 }
 
 TEST(Models, AlexNetMatchesTableOneInvocations)
@@ -52,11 +55,11 @@ TEST(Models, AlexNetMatchesTableOneInvocations)
     Graph g = buildAlexNet();
     // Table I (AlexNet): 5 convs, filter grads x5, input grads x4,
     // MatMul x3 forward (+ grads).
-    EXPECT_EQ(g.countType(OpType::Conv2D), 5u);
-    EXPECT_EQ(g.countType(OpType::Conv2DBackpropFilter), 5u);
-    EXPECT_EQ(g.countType(OpType::Conv2DBackpropInput), 4u);
-    EXPECT_EQ(g.countType(OpType::MatMul), 3u);
-    EXPECT_EQ(g.countType(OpType::MatMulGradWeights), 3u);
+    EXPECT_EQ(countType(g, OpType::Conv2D), 5u);
+    EXPECT_EQ(countType(g, OpType::Conv2DBackpropFilter), 5u);
+    EXPECT_EQ(countType(g, OpType::Conv2DBackpropInput), 4u);
+    EXPECT_EQ(countType(g, OpType::MatMul), 3u);
+    EXPECT_EQ(countType(g, OpType::MatMulGradWeights), 3u);
 }
 
 TEST(Models, DcganContainsForwardDeconvAndManyMuls)
@@ -64,9 +67,9 @@ TEST(Models, DcganContainsForwardDeconvAndManyMuls)
     Graph g = buildDcgan();
     // Generator deconvs lower to Conv2DBackpropInput in the forward
     // pass; the GAN loss sprays Mul ops (Table I: Mul x84).
-    EXPECT_GE(g.countType(OpType::Conv2DBackpropInput), 3u);
-    EXPECT_GE(g.countType(OpType::Mul), 60u);
-    EXPECT_GE(g.countType(OpType::Slice), 2u);
+    EXPECT_GE(countType(g, OpType::Conv2DBackpropInput), 3u);
+    EXPECT_GE(countType(g, OpType::Mul), 60u);
+    EXPECT_GE(countType(g, OpType::Slice), 2u);
 }
 
 TEST(Models, RelativeComputeOrdering)
@@ -92,9 +95,9 @@ TEST(Models, LstmHasRecurrentStructure)
 {
     Graph g = buildLstm();
     // 2 layers x 35 timesteps.
-    EXPECT_EQ(g.countType(OpType::LstmCell), 70u);
-    EXPECT_EQ(g.countType(OpType::LstmCellGrad), 70u);
-    EXPECT_GE(g.countType(OpType::EmbeddingLookup), 1u);
+    EXPECT_EQ(countType(g, OpType::LstmCell), 70u);
+    EXPECT_EQ(countType(g, OpType::LstmCellGrad), 70u);
+    EXPECT_GE(countType(g, OpType::EmbeddingLookup), 1u);
     // BPTT forces a long critical path.
     EXPECT_GT(g.criticalPathLength(), 140u);
 }
@@ -103,9 +106,9 @@ TEST(Models, Word2vecIsSmallAndEmbeddingHeavy)
 {
     Graph g = buildWord2vec();
     EXPECT_LT(g.size(), 16u);
-    EXPECT_EQ(g.countType(OpType::EmbeddingLookup), 2u);
-    EXPECT_EQ(g.countType(OpType::NceLoss), 1u);
-    EXPECT_EQ(g.countType(OpType::EmbeddingGrad), 2u);
+    EXPECT_EQ(countType(g, OpType::EmbeddingLookup), 2u);
+    EXPECT_EQ(countType(g, OpType::NceLoss), 1u);
+    EXPECT_EQ(countType(g, OpType::EmbeddingGrad), 2u);
 }
 
 TEST(Models, BuildModelDispatchesAllIds)
@@ -128,7 +131,7 @@ TEST_P(ModelGraphSweep, GraphDrainsCompletely)
     std::vector<bool> done(g.size(), false);
     std::size_t completed = 0;
     while (completed < g.size()) {
-        auto ready = g.readyOps(done);
+        auto ready = readyOps(g, done);
         ASSERT_FALSE(ready.empty())
             << modelName(GetParam()) << " deadlocked at "
             << completed << "/" << g.size();

@@ -14,6 +14,7 @@
 #include <random>
 #include <sstream>
 
+#include "allocation_count.hh"
 #include "baseline/presets.hh"
 #include "harness/json.hh"
 #include "harness/json_writer.hh"
@@ -176,6 +177,19 @@ TEST(ReportIo, JsonSerializeParseReserializeIsIdentical)
     std::string once = jsonString(sample());
     rt::ExecutionReport parsed = readJson(once);
     EXPECT_EQ(jsonString(parsed), once);
+}
+
+TEST(ReportIo, JsonStringAllocationsArePinned)
+{
+    // The exact count, so a temporary string per key or value shows up
+    // as a test diff. What is left: the stream's buffer as it grows,
+    // the copy str() returns, the writer's nesting stacks and its one
+    // string buffer. Escaping each key and string into a temporary
+    // string made 38.
+    const rt::ExecutionReport report = sample();
+    const std::size_t before = g_allocations.load();
+    const std::string text = jsonString(report);
+    EXPECT_EQ(g_allocations.load() - before, 11u);
 }
 
 TEST(ReportIo, JsonRoundTripPreservesEveryField)
