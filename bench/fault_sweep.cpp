@@ -33,11 +33,11 @@
 #include <vector>
 
 #include "baseline/presets.hh"
-#include "harness/journal.hh"
 #include "harness/sweep.hh"
 #include "harness/table_printer.hh"
 #include "nn/models.hh"
 #include "rt/executor.hh"
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
@@ -109,12 +109,10 @@ main(int argc, char **argv)
     // so surviving capacity can only shrink down the table.
     const std::vector<std::uint32_t> kill_counts = {0,  4,  8,  12,
                                                     16, 24, 32};
-    std::uint64_t kills_hash = harness::hashU64(
-        fault_seed,
-        harness::hashString("fault_sweep/kills v1",
-                            0xcbf29ce484222325ULL));
+    std::uint64_t kills_hash = sim::hashU64(
+        fault_seed, sim::hashString("fault_sweep/kills v1"));
     for (std::uint32_t kills : kill_counts)
-        kills_hash = harness::hashU64(kills, kills_hash);
+        kills_hash = sim::hashU64(kills, kills_hash);
     auto kill_reports = runner.mapReports(
         kill_counts.size(), kills_hash, [&](std::size_t i, sim::Rng &) {
             sim::FaultConfig faults;
@@ -153,16 +151,13 @@ main(int argc, char **argv)
         {0.0, 0.0},   {1e-4, 0.0},  {1e-3, 1e-4},
         {1e-2, 1e-3}, {0.05, 1e-2}, {1.0, 0.0},
     };
-    std::uint64_t rates_hash = harness::hashU64(
-        fault_seed,
-        harness::hashString("fault_sweep/rates v1",
-                            0xcbf29ce484222325ULL));
+    std::uint64_t rates_hash = sim::hashU64(
+        fault_seed, sim::hashString("fault_sweep/rates v1"));
     for (const RatePoint &rate : rates) {
-        rates_hash = harness::hashBytes(&rate.transient,
-                                        sizeof rate.transient,
-                                        rates_hash);
-        rates_hash = harness::hashBytes(&rate.stall,
-                                        sizeof rate.stall, rates_hash);
+        rates_hash = sim::hashBytes(&rate.transient,
+                                    sizeof rate.transient, rates_hash);
+        rates_hash =
+            sim::hashBytes(&rate.stall, sizeof rate.stall, rates_hash);
     }
     auto rate_reports =
         runner.mapReports(rates.size(), rates_hash,

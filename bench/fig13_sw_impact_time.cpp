@@ -16,11 +16,11 @@
 
 #include "baseline/presets.hh"
 #include "harness/graph_workloads.hh"
-#include "harness/journal.hh"
 #include "harness/sweep.hh"
 #include "harness/table_printer.hh"
 #include "nn/models.hh"
 #include "rt/hetero_runtime.hh"
+#include "sim/hash.hh"
 
 namespace {
 
@@ -76,12 +76,12 @@ main(int argc, char **argv)
     auto user_graphs = harness::loadGraphWorkloads(options.graphFiles);
     harness::SweepRunner runner(std::move(options));
     auto models = nn::cnnModels();
-    std::uint64_t grid_hash = harness::hashString(
-        "fig13 models x variants v1", 0xcbf29ce484222325ULL);
+    std::uint64_t grid_hash =
+        sim::hashString("fig13 models x variants v1");
     for (auto model : models)
-        grid_hash = harness::hashU64(
-            static_cast<std::uint64_t>(model), grid_hash);
-    grid_hash = harness::hashU64(numVariants, grid_hash);
+        grid_hash =
+            sim::hashU64(static_cast<std::uint64_t>(model), grid_hash);
+    grid_hash = sim::hashU64(numVariants, grid_hash);
     auto reports = runner.mapReports(
         models.size() * numVariants, grid_hash,
         [&models](std::size_t i, sim::Rng &) {

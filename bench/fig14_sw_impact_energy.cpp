@@ -14,11 +14,11 @@
 #include <iostream>
 
 #include "baseline/presets.hh"
-#include "harness/journal.hh"
 #include "harness/sweep.hh"
 #include "harness/table_printer.hh"
 #include "nn/models.hh"
 #include "rt/hetero_runtime.hh"
+#include "sim/hash.hh"
 
 namespace {
 
@@ -71,12 +71,12 @@ main(int argc, char **argv)
 
     harness::SweepRunner runner(harness::parseSweepArgs(argc, argv));
     auto models = nn::cnnModels();
-    std::uint64_t grid_hash = harness::hashString(
-        "fig14 models x variants v1", 0xcbf29ce484222325ULL);
+    std::uint64_t grid_hash =
+        sim::hashString("fig14 models x variants v1");
     for (auto model : models)
-        grid_hash = harness::hashU64(
-            static_cast<std::uint64_t>(model), grid_hash);
-    grid_hash = harness::hashU64(numVariants, grid_hash);
+        grid_hash =
+            sim::hashU64(static_cast<std::uint64_t>(model), grid_hash);
+    grid_hash = sim::hashU64(numVariants, grid_hash);
     auto reports = runner.mapReports(
         models.size() * numVariants, grid_hash,
         [&models](std::size_t i, sim::Rng &) {

@@ -62,6 +62,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "harness/failpoint.hh"
 #include "harness/report_io.hh"
@@ -76,10 +77,8 @@
 #include "rt/executor.hh"
 #include "serve/client.hh"
 #include "serve/simulate.hh"
-#include "sim/config.hh"
 #include "sim/deadline.hh"
 #include "sim/logging.hh"
-#include "sim/rng.hh"
 
 namespace {
 
@@ -110,43 +109,6 @@ parseDouble(const std::string &flag, const std::string &text)
     if (text.empty() || end != text.c_str() + text.size())
         fatal(flag, " expects a number, got '", text, "'\n", kUsage);
     return value;
-}
-
-/**
- * What a valid hpim_cli invocation looks like: every flag's type and
- * range. An out-of-range value or (via allowUnknown=false) any key a
- * typo smuggled into the store fails fast with the full list of
- * violations instead of silently simulating nonsense.
- */
-sim::ConfigSchema
-cliSchema()
-{
-    using sim::ConfigType;
-    sim::ConfigSchema schema;
-    schema.keys = {
-        {"model", ConfigType::String, true, 0.0, 0.0},
-        {"graph", ConfigType::String, true, 0.0, 0.0},
-        {"dump_graph", ConfigType::String, true, 0.0, 0.0},
-        {"dry_run", ConfigType::Bool, true, 0.0, 0.0},
-        {"system", ConfigType::String, true, 0.0, 0.0},
-        {"steps", ConfigType::Int, true, 1.0, 1e6},
-        {"freq_scale", ConfigType::Double, true, 1.0 / 64, 128.0},
-        {"progr_pims", ConfigType::Int, true, 1.0, 256.0},
-        {"rc", ConfigType::Bool, true, 0.0, 0.0},
-        {"op", ConfigType::Bool, true, 0.0, 0.0},
-        {"fault_rate", ConfigType::Double, true, 0.0, 1.0},
-        {"kill_banks", ConfigType::Int, true, 0.0, 4096.0},
-        {"timeout_ms", ConfigType::Double, true, 0.0, 1e9},
-        {"connect", ConfigType::String, true, 0.0, 0.0},
-        {"metrics", ConfigType::Bool, true, 0.0, 0.0},
-        {"csv", ConfigType::Bool, true, 0.0, 0.0},
-        {"json", ConfigType::Bool, true, 0.0, 0.0},
-        {"summary", ConfigType::Bool, true, 0.0, 0.0},
-        {"dot", ConfigType::Bool, true, 0.0, 0.0},
-        {"trace", ConfigType::String, true, 0.0, 0.0},
-        {"failpoints", ConfigType::String, true, 0.0, 0.0},
-    };
-    return schema;
 }
 
 /** Print the built-in model tokens, one per line. */
@@ -284,32 +246,20 @@ runConnected(const std::string &socket,
 int
 main(int argc, char **argv)
 {
-    // Flags accumulate into a typed config and are validated against
-    // cliSchema() in one pass before anything simulates.
-    sim::Config cli;
-    cli.set("model", "alexnet");
-    cli.set("graph", "");      // empty = run the built-in model
-    cli.set("dump_graph", ""); // empty = no graph export
-    cli.set("dry_run", false);
-    cli.set("system", "hetero");
-    cli.set("steps", 4);
-    cli.set("freq_scale", 1.0);
-    cli.set("progr_pims", 1);
-    cli.set("rc", true);
-    cli.set("op", true);
-    cli.set("fault_rate", 0.0);
-    cli.set("kill_banks", 0);
-    cli.set("timeout_ms", 0.0); // 0 = no deadline
-    cli.set("connect", "");     // empty = run in-process
-    cli.set("metrics", true);
-    cli.set("csv", false);
-    cli.set("json", false);
-    cli.set("summary", false);
-    cli.set("dot", false);
-    cli.set("trace", "");      // empty = tracing off
-    cli.set("failpoints", ""); // empty = no host-IO fault injection
-    std::uint64_t fault_seed = hpim::sim::defaultSeed;
-    bool model_flag_set = false;
+    // The sim flags fill the daemon's request type through the
+    // protocol's field table, so the defaults, ranges and cross-field
+    // rules are the daemon's. Every violation is listed at once,
+    // before anything simulates.
+    serve::SimulateSpec spec;
+    std::vector<std::string> violations;
+    std::string graph_file;  // empty = run the built-in model
+    std::string dump_graph;  // empty = no graph export
+    std::string connect;     // empty = run in-process
+    std::string trace_file;  // empty = tracing off
+    std::string failpoints;  // empty = no host-IO fault injection
+    double timeout_ms = 0.0; // 0 = no deadline
+    bool dry_run = false, with_metrics = true, csv = false, json = false;
+    bool summary = false, dot = false, model_flag_set = false;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -327,46 +277,45 @@ main(int argc, char **argv)
                       "'\n", kUsage);
             return *value;
         };
+        auto number = [&](serve::SimField field, double value) {
+            serve::setSimNumber(spec, field, value, violations);
+        };
         if (arg == "--model") {
-            cli.set("model", next());
+            spec.model = next();
             model_flag_set = true;
         }
-        else if (arg == "--graph") cli.set("graph", next());
-        else if (arg == "--dump-graph") cli.set("dump_graph", next());
-        else if (arg == "--dry-run") cli.set("dry_run", true);
+        else if (arg == "--graph") graph_file = next();
+        else if (arg == "--dump-graph") dump_graph = next();
+        else if (arg == "--dry-run") dry_run = true;
         else if (arg == "--list-models") { listModels(); return 0; }
         else if (arg == "--list-graph-ops") {
             listGraphOps();
             return 0;
         }
-        else if (arg == "--system") cli.set("system", next());
+        else if (arg == "--system") spec.system = next();
         else if (arg == "--steps")
-            cli.set("steps", static_cast<std::int64_t>(nextUnsigned()));
+            number(serve::SimField::Steps, nextUnsigned());
         else if (arg == "--freq-scale")
-            cli.set("freq_scale", parseDouble(arg, next()));
+            number(serve::SimField::FreqScale, parseDouble(arg, next()));
         else if (arg == "--progr-pims")
-            cli.set("progr_pims",
-                    static_cast<std::int64_t>(nextUnsigned()));
-        else if (arg == "--no-rc") cli.set("rc", false);
-        else if (arg == "--no-op") cli.set("op", false);
+            number(serve::SimField::ProgrPims, nextUnsigned());
+        else if (arg == "--no-rc") spec.rc = false;
+        else if (arg == "--no-op") spec.op = false;
         else if (arg == "--fault-rate")
-            cli.set("fault_rate", parseDouble(arg, next()));
+            number(serve::SimField::FaultRate, parseDouble(arg, next()));
         else if (arg == "--kill-banks")
-            cli.set("kill_banks",
-                    static_cast<std::int64_t>(nextUnsigned()));
-        else if (arg == "--fault-seed")
-            fault_seed = nextUnsigned();
+            number(serve::SimField::KillBanks, nextUnsigned());
+        else if (arg == "--fault-seed") spec.faultSeed = nextUnsigned();
         else if (arg == "--timeout-ms")
-            cli.set("timeout_ms", parseDouble(arg, next()));
-        else if (arg == "--connect") cli.set("connect", next());
-        else if (arg == "--no-metrics") cli.set("metrics", false);
-        else if (arg == "--csv") cli.set("csv", true);
-        else if (arg == "--json") cli.set("json", true);
-        else if (arg == "--summary") cli.set("summary", true);
-        else if (arg == "--dot") cli.set("dot", true);
-        else if (arg == "--trace") cli.set("trace", next());
-        else if (arg == "--failpoints")
-            cli.set("failpoints", next());
+            timeout_ms = parseDouble(arg, next());
+        else if (arg == "--connect") connect = next();
+        else if (arg == "--no-metrics") with_metrics = false;
+        else if (arg == "--csv") csv = true;
+        else if (arg == "--json") json = true;
+        else if (arg == "--summary") summary = true;
+        else if (arg == "--dot") dot = true;
+        else if (arg == "--trace") trace_file = next();
+        else if (arg == "--failpoints") failpoints = next();
         else if (arg == "--help" || arg == "-h") {
             std::cout << kUsage << '\n';
             return 0;
@@ -375,69 +324,25 @@ main(int argc, char **argv)
                   kUsage);
         }
     }
-    cli.validateOrDie(cliSchema());
+    serve::checkRange("timeout_ms", timeout_ms, 0.0, 1e9, violations);
+    if (!graph_file.empty() && model_flag_set)
+        violations.push_back("--graph and --model are mutually "
+                             "exclusive; a graph document is a "
+                             "complete workload");
 
     harness::configureFailPointsFromEnv();
-    if (!cli.requireString("failpoints").empty()) {
+    if (!failpoints.empty()) {
         try {
-            harness::configureFailPoints(
-                cli.requireString("failpoints"));
+            harness::configureFailPoints(failpoints);
         } catch (const harness::FailPointError &e) {
             fatal("--failpoints: ", e.what(), "\n", kUsage);
         }
     }
 
-    serve::SimulateSpec spec;
-    spec.model = cli.requireString("model");
-    std::string graph_file = cli.requireString("graph");
-    std::string dump_graph = cli.requireString("dump_graph");
-    bool dry_run = cli.requireBool("dry_run");
-    spec.system = cli.requireString("system");
-    spec.steps =
-        static_cast<std::uint32_t>(cli.requireInt("steps"));
-    spec.freqScale = cli.requireDouble("freq_scale");
-    spec.progrPims =
-        static_cast<std::uint32_t>(cli.requireInt("progr_pims"));
-    spec.rc = cli.requireBool("rc");
-    spec.op = cli.requireBool("op");
-    spec.faultRate = cli.requireDouble("fault_rate");
-    spec.killBanks =
-        static_cast<std::uint32_t>(cli.requireInt("kill_banks"));
-    spec.faultSeed = fault_seed;
-
-    double timeout_ms = cli.requireDouble("timeout_ms");
-    std::string connect = cli.requireString("connect");
-    bool with_metrics = cli.requireBool("metrics");
-    bool csv = cli.requireBool("csv"), json = cli.requireBool("json");
-    bool summary = cli.requireBool("summary");
-    bool dot = cli.requireBool("dot");
-    std::string trace_file = cli.requireString("trace");
-
-    // Token validation up front (the same tables serve the daemon's
-    // wire validation, so CLI and wire agree on the name space).
-    fatal_if(!graph_file.empty() && model_flag_set,
-             "--graph and --model are mutually exclusive; a graph "
-             "document is a complete workload\n", kUsage);
-    std::optional<nn::ModelId> model = serve::modelFromToken(spec.model);
-    fatal_if(graph_file.empty() && !model, "unknown model '",
-             spec.model, "' (", serve::modelTokenList(),
-             "; or --graph FILE, see --list-models)\n", kUsage);
-    fatal_if(!serve::systemFromToken(spec.system),
-             "unknown system '", spec.system, "' (",
-             serve::systemTokenList(), ")\n", kUsage);
-    fatal_if(!graph_file.empty() && spec.system == "gpu",
-             "the analytic GPU model needs per-model calibration and "
-             "cannot run --graph workloads");
-
-    bool faults = spec.faultRate > 0.0 || spec.killBanks > 0;
-    fatal_if(faults && spec.system == "gpu",
-             "--fault-rate/--kill-banks need a simulated system; the "
-             "analytic GPU model has no fault layer");
-
-    // Resolve the workload: a loaded user document or a built-in
-    // model. User-file problems are typed errors with a clean exit,
-    // never an abort -- the file is input, not program state.
-    std::optional<nn::Graph> user_graph;
+    // The document's text is read before the cross-field check, which
+    // judges a graph workload by it. User-file problems are typed
+    // errors with a clean exit, never an abort -- the file is input,
+    // not program state.
     if (!graph_file.empty()) {
         try {
             spec.graph = nn::readGraphFile(graph_file);
@@ -445,6 +350,17 @@ main(int argc, char **argv)
             std::cerr << "hpim_cli: " << e.what() << '\n';
             return 1;
         }
+    }
+    serve::checkSimSpec(spec, violations);
+    if (!violations.empty()) {
+        std::string joined;
+        for (const std::string &violation : violations)
+            joined += "\n  " + violation;
+        fatal("invalid configuration:", joined);
+    }
+
+    std::optional<nn::Graph> user_graph;
+    if (!graph_file.empty()) {
         try {
             user_graph = nn::loadGraph(spec.graph);
         } catch (const nn::GraphParseError &e) {
@@ -453,11 +369,12 @@ main(int argc, char **argv)
             return 1;
         }
     }
+    const bool faults = spec.faultRate > 0.0 || spec.killBanks > 0;
 
     if (summary || dot || !dump_graph.empty()) {
-        nn::Graph graph = user_graph
-                              ? *user_graph
-                              : nn::buildModel(*model);
+        nn::Graph graph =
+            user_graph ? *user_graph
+                       : nn::buildModel(*serve::modelFromToken(spec.model));
         if (summary)
             nn::summarize(graph).print(std::cout);
         if (dot)

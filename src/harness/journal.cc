@@ -18,7 +18,6 @@
 #include "harness/json.hh"
 #include "harness/json_writer.hh"
 #include "harness/report_io.hh"
-#include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "sim/read_all.hh"
 #include "sim/rng.hh"
@@ -121,26 +120,6 @@ shardSuffix(std::uint32_t shard_index, std::uint32_t shard_count)
 }
 
 } // namespace
-
-// The primitives moved to sim/hash.hh (shared with graph signatures
-// and the memo cache); these wrappers keep the journal API stable.
-std::uint64_t
-hashBytes(const void *data, std::size_t size, std::uint64_t seed)
-{
-    return hpim::sim::hashBytes(data, size, seed);
-}
-
-std::uint64_t
-hashString(std::string_view text, std::uint64_t seed)
-{
-    return hpim::sim::hashString(text, seed);
-}
-
-std::uint64_t
-hashU64(std::uint64_t value, std::uint64_t seed)
-{
-    return hpim::sim::hashU64(value, seed);
-}
 
 std::uint64_t
 journalPointHash(std::uint64_t grid_hash, std::size_t index)

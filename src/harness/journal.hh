@@ -53,7 +53,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "rt/execution_report.hh"
@@ -64,16 +63,6 @@ namespace hpim::harness {
  *  v2 added the shard assignment (shard_index/shard_count) to the
  *  segment header. */
 constexpr int journalSchemaVersion = 2;
-
-/** FNV-1a over raw bytes; the sweep grid/point hash primitive. */
-std::uint64_t hashBytes(const void *data, std::size_t size,
-                        std::uint64_t seed = 0xcbf29ce484222325ULL);
-
-/** hashBytes over a string's characters. */
-std::uint64_t hashString(std::string_view text, std::uint64_t seed);
-
-/** hashBytes over one little-endian 64-bit word. */
-std::uint64_t hashU64(std::uint64_t value, std::uint64_t seed);
 
 /**
  * Identity of one journaled point: mixes (gridHash, index) so a

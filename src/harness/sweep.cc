@@ -13,6 +13,7 @@
 #include "harness/failpoint.hh"
 #include "harness/journal.hh"
 #include "harness/table_printer.hh"
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "sim/memo_cache.hh"
 
@@ -98,8 +99,9 @@ parseUint(const char *flag, const std::string &text)
 std::uint64_t
 gridHash(const std::vector<ExperimentPoint> &points)
 {
-    std::uint64_t hash = hashString("hpim ExperimentPoint grid v1",
-                                    0xcbf29ce484222325ULL);
+    using hpim::sim::hashU64;
+    std::uint64_t hash =
+        hpim::sim::hashString("hpim ExperimentPoint grid v1");
     for (const ExperimentPoint &p : points) {
         hash = hashU64(static_cast<std::uint64_t>(p.kind), hash);
         hash = hashU64(static_cast<std::uint64_t>(p.model), hash);

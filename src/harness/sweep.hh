@@ -202,7 +202,7 @@ class SweepRunner
      * is set. With one set, completed points are journaled under
      * @p grid_hash -- the caller-supplied identity of this sweep's
      * parameter grid (hash every input that shapes a point's result;
-     * harness/journal.hh has the hash helpers) -- and a rerun loads
+     * sim/hash.hh has the hash helpers) -- and a rerun loads
      * them instead of re-simulating.
      */
     template <typename Fn>

@@ -604,7 +604,7 @@ saveGraph(std::ostream &os, const Graph &graph)
     w.key("ops").beginArray();
     for (const Operation &op : graph.ops()) {
         w.beginObject();
-        w.field("type", opName(op.type));
+        w.field("type", opTraits(op.type).name);
         w.field("label", graph.label(op.id));
         w.field("muls", op.cost.muls);
         w.field("adds", op.cost.adds);

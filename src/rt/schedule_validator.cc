@@ -127,9 +127,11 @@ validateSchedule(const ScheduleTrace &trace,
         }
     };
     check_capacity(PlacedOn::Cpu, 1, "cpu");
-    // Host-driven complex ops also occupy the CPU, but their interval
-    // covers the joined fixed part too; they are checked against the
-    // CPU separately with the same capacity.
+    // Not counted: a host-driven op's hold on the CPU and a recursive
+    // op's control part on a programmable PIM. Either op's interval
+    // also covers its joined fixed part, and the device is freed
+    // before that part ends, so no check on these intervals can tell
+    // when the device was busy.
     check_capacity(PlacedOn::ProgrPim,
                    std::max<std::uint32_t>(config.progrPimCount, 1),
                    "progr-pim");

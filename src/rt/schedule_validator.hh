@@ -6,7 +6,11 @@
  *  1. dependence safety -- no op starts before all its producers (in
  *     the same workload and step) have finished;
  *  2. serial-device capacity -- at most one interval at a time on the
- *     CPU; at most `progrPimCount` on the programmable PIM(s);
+ *     CPU; at most `progrPimCount` on the programmable PIM(s). Only
+ *     ops placed on the device itself count: a host-driven op's CPU
+ *     time and a recursive op's control part are not checked, because
+ *     their intervals also cover the joined fixed part, which ends
+ *     after the device is freed;
  *  3. step-window discipline -- ops of step s+k never start while
  *     step s is incomplete for k >= the pipeline window;
  *  4. completeness -- exactly one interval per (workload, step, op).

@@ -1,12 +1,17 @@
 #include "serve/protocol.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <sstream>
+#include <utility>
 
 #include "harness/json.hh"
 #include "harness/json_writer.hh"
 #include "harness/report_io.hh"
-#include "nn/graph_io.hh"
-#include "sim/config.hh"
+#include "sim/logging.hh"
 
 namespace hpim::serve {
 
@@ -172,77 +177,218 @@ systemTokenList()
 
 namespace {
 
-/**
- * The validity contract of a request's `sim` object: exactly the
- * hpim_cli flag schema (plus batch and fault_seed, which the CLI
- * parses outside its schema). Shared with the thin client so both
- * ends agree on what a well-formed request is.
- */
-sim::ConfigSchema
-simSchema()
+/** How one `sim` field reads. */
+struct FieldRule
 {
-    using sim::ConfigType;
-    sim::ConfigSchema schema;
-    schema.keys = {
-        {"model", ConfigType::String, false, 0.0, 0.0},
-        {"graph", ConfigType::String, false, 0.0, 0.0},
-        {"system", ConfigType::String, false, 0.0, 0.0},
-        {"steps", ConfigType::Int, false, 1.0, 1e6},
-        {"freq_scale", ConfigType::Double, false, 1.0 / 64, 128.0},
-        {"progr_pims", ConfigType::Int, false, 1.0, 256.0},
-        {"batch", ConfigType::Int, false, 0.0, 65536.0},
-        {"rc", ConfigType::Bool, false, 0.0, 0.0},
-        {"op", ConfigType::Bool, false, 0.0, 0.0},
-        {"fault_rate", ConfigType::Double, false, 0.0, 1.0},
-        {"kill_banks", ConfigType::Int, false, 0.0, 4096.0},
-    };
-    return schema;
-}
+    std::string_view name;
+    json::Value::Kind kind;
+    double min = 0.0; ///< inclusive range of a number
+    double max = 0.0;
+    bool whole = false; ///< a number that counts something
+};
 
 /**
- * Lower a parsed JSON object into a typed sim::Config so the
- * ConfigSchema range/type/unknown-key validation can run on it.
- * JSON numbers become Int when they parse as one, Double otherwise
- * (the schema coerces between the two, matching Config's own rule).
+ * The sim fields, indexed by SimField: the one place their names and
+ * ranges are written. parseRequest() reads the `sim` object through
+ * it, hpim_cli its flags (through setSimNumber()) and the encoder its
+ * keys.
  */
-sim::Config
-configFromJsonObject(const json::Value &object)
+constexpr FieldRule kSimFields[] = {
+    {"model", json::Value::Kind::String},
+    {"graph", json::Value::Kind::String},
+    {"system", json::Value::Kind::String},
+    {"steps", json::Value::Kind::Number, 1.0, 1e6, true},
+    {"freq_scale", json::Value::Kind::Number, 1.0 / 64, 128.0},
+    {"progr_pims", json::Value::Kind::Number, 1.0, 256.0, true},
+    {"batch", json::Value::Kind::Number, 0.0, 65536.0, true},
+    {"rc", json::Value::Kind::Bool},
+    {"op", json::Value::Kind::Bool},
+    {"fault_rate", json::Value::Kind::Number, 0.0, 1.0},
+    {"kill_banks", json::Value::Kind::Number, 0.0, 4096.0, true},
+};
+constexpr std::size_t kNumSimFields = std::size(kSimFields);
+static_assert(kNumSimFields
+              == static_cast<std::size_t>(SimField::KillBanks) + 1);
+
+const FieldRule &
+rule(SimField field)
 {
-    sim::Config config;
-    for (const auto &[name, value] : object.members()) {
-        // fault_seed is a full-range uint64: it neither fits
-        // Config's int64 storage nor survives a double round-trip,
-        // so parseSimulateSpec extracts it exactly via asUInt64.
-        if (name == "fault_seed")
-            continue;
-        const std::string key(name);
-        switch (value.kind()) {
-          case json::Value::Kind::Bool:
-            config.set(key, value.asBool());
-            break;
-          case json::Value::Kind::String:
-            config.set(key, std::string(value.asString()));
-            break;
-          case json::Value::Kind::Number:
-            try {
-                config.set(key, value.asInt64());
-            } catch (const json::Error &) {
-                config.set(key, value.asDouble());
-            }
-            break;
-          default:
-            throw ProtocolError("sim field '" + key
-                                + "' has an unsupported JSON type");
-        }
-    }
-    return config;
+    return kSimFields[static_cast<std::size_t>(field)];
 }
+
+/** @return the index of the sim field named @p name, or kNumSimFields. */
+std::size_t
+fieldIndex(std::string_view name)
+{
+    std::size_t i = 0;
+    while (i < kNumSimFields && kSimFields[i].name != name)
+        ++i;
+    return i;
+}
+
+/** The type a wrong-type message names: int, double, bool or string. */
+const char *
+typeName(json::Value::Kind kind, bool whole)
+{
+    switch (kind) {
+      case json::Value::Kind::Bool: return "bool";
+      case json::Value::Kind::String: return "string";
+      default: return whole ? "int" : "double";
+    }
+}
+
+} // namespace
+
+bool
+checkRange(std::string_view name, double value, double min, double max,
+           std::vector<std::string> &violations)
+{
+    if (value >= min && value <= max)
+        return true;
+    std::ostringstream os;
+    os << "key '" << name << "' = " << value << " out of range [" << min
+       << ", " << max << "]";
+    violations.push_back(os.str());
+    return false;
+}
+
+void
+setSimNumber(SimulateSpec &spec, SimField field, double value,
+             std::vector<std::string> &violations)
+{
+    const FieldRule &f = rule(field);
+    panic_if(f.kind != json::Value::Kind::Number, "sim field '",
+             f.name, "' is not a number");
+    if (f.whole && value != std::trunc(value)) {
+        // The shortest spelling that reads back as the value: 2.5, or
+        // 1000000.5 where a stream would print 1e+06.
+        char text[32];
+        char *end = std::to_chars(text, text + sizeof text, value).ptr;
+        violations.push_back("key '" + std::string(f.name) + "' = "
+                             + std::string(text, end)
+                             + " is not a whole number");
+        return;
+    }
+    if (!checkRange(f.name, value, f.min, f.max, violations))
+        return;
+    switch (field) {
+      case SimField::Steps:
+        spec.steps = static_cast<std::uint32_t>(value);
+        break;
+      case SimField::FreqScale: spec.freqScale = value; break;
+      case SimField::ProgrPims:
+        spec.progrPims = static_cast<std::uint32_t>(value);
+        break;
+      case SimField::Batch: spec.batch = static_cast<int>(value); break;
+      case SimField::FaultRate: spec.faultRate = value; break;
+      case SimField::KillBanks:
+        spec.killBanks = static_cast<std::uint32_t>(value);
+        break;
+      default: break; // not a number: refused above
+    }
+}
+
+void
+checkSimSpec(const SimulateSpec &spec,
+             std::vector<std::string> &violations)
+{
+    const bool graph = !spec.graph.empty();
+    const bool gpu = spec.system == "gpu";
+    if (!graph && !modelFromToken(spec.model))
+        violations.push_back("unknown model '" + spec.model + "' ("
+                             + modelTokenList() + ")");
+    if (!systemFromToken(spec.system))
+        violations.push_back("unknown system '" + spec.system + "' ("
+                             + systemTokenList() + ")");
+    if (graph && spec.batch != 0)
+        violations.push_back("'batch' does not apply to 'graph' "
+                             "workloads: a serialized graph bakes its "
+                             "batch into its op costs");
+    if (graph && gpu)
+        violations.push_back("the analytic GPU model needs per-model "
+                             "calibration and cannot run 'graph' "
+                             "workloads");
+    if (gpu && (spec.faultRate > 0.0 || spec.killBanks > 0))
+        violations.push_back("fault injection needs a simulated "
+                             "system; the analytic GPU model has no "
+                             "fault layer");
+}
+
+namespace {
 
 SimulateSpec
 parseSimulateSpec(const json::Value &object)
 {
-    sim::Config config = configFromJsonObject(object);
-    std::vector<std::string> violations = config.validate(simSchema());
+    SimulateSpec spec;
+    std::vector<std::string> violations;
+    bool seen[kNumSimFields] = {};
+    bool seen_seed = false;
+    for (const auto &[name, value] : object.members()) {
+        const std::string key(name);
+        if (name == "fault_seed") {
+            if (std::exchange(seen_seed, true)) {
+                violations.push_back("duplicate key '" + key + "'");
+                continue;
+            }
+            // A full-range uint64, read exactly: never through a
+            // double.
+            try {
+                spec.faultSeed = value.asUInt64();
+            } catch (const json::Error &) {
+                violations.push_back(
+                    "sim field 'fault_seed' must be an unsigned 64-bit "
+                    "integer, got "
+                    + std::string(value.isNumber()
+                                      ? value.numberText()
+                                      : json::kindName(value.kind())));
+            }
+            continue;
+        }
+        const std::size_t index = fieldIndex(name);
+        if (index == kNumSimFields) {
+            violations.push_back("unknown key '" + key + "'");
+            continue;
+        }
+        if (std::exchange(seen[index], true)) {
+            violations.push_back("duplicate key '" + key + "'");
+            continue;
+        }
+        if (value.isNull() || value.isArray() || value.isObject()) {
+            violations.push_back("sim field '" + key
+                                 + "' has an unsupported JSON type");
+            continue;
+        }
+        const FieldRule &f = kSimFields[index];
+        if (value.kind() != f.kind) {
+            const bool integer =
+                value.isNumber()
+                && value.numberText().find_first_of(".eE")
+                       == std::string_view::npos;
+            violations.push_back("key '" + key + "' must be "
+                                 + typeName(f.kind, f.whole)
+                                 + ", got "
+                                 + typeName(value.kind(), integer));
+            continue;
+        }
+        const auto field = static_cast<SimField>(index);
+        switch (field) {
+          case SimField::Model: spec.model = value.asString(); break;
+          case SimField::Graph: spec.graph = value.asString(); break;
+          case SimField::System: spec.system = value.asString(); break;
+          case SimField::Rc: spec.rc = value.asBool(); break;
+          case SimField::Op: spec.op = value.asBool(); break;
+          default:
+            // A number no conversion reads whole ("steps":1e) throws
+            // json::Error here.
+            setSimNumber(spec, field, value.asDouble(), violations);
+        }
+    }
+    if (!spec.graph.empty()
+        && seen[static_cast<std::size_t>(SimField::Model)])
+        violations.push_back("'graph' and 'model' are mutually "
+                             "exclusive; a graph document is a "
+                             "complete workload");
+    checkSimSpec(spec, violations);
     if (!violations.empty()) {
         std::string all;
         for (const std::string &v : violations) {
@@ -252,92 +398,40 @@ parseSimulateSpec(const json::Value &object)
         }
         throw ProtocolError("invalid sim config: " + all);
     }
-
-    SimulateSpec spec;
-    spec.model = config.getString("model", spec.model);
-    spec.graph = config.getString("graph", spec.graph);
-    spec.system = config.getString("system", spec.system);
-    spec.steps = static_cast<std::uint32_t>(
-        config.getInt("steps", spec.steps));
-    spec.freqScale = config.getDouble("freq_scale", spec.freqScale);
-    spec.progrPims = static_cast<std::uint32_t>(
-        config.getInt("progr_pims", spec.progrPims));
-    spec.batch = static_cast<int>(config.getInt("batch", spec.batch));
-    spec.rc = config.getBool("rc", spec.rc);
-    spec.op = config.getBool("op", spec.op);
-    spec.faultRate = config.getDouble("fault_rate", spec.faultRate);
-    spec.killBanks = static_cast<std::uint32_t>(
-        config.getInt("kill_banks", spec.killBanks));
-    if (const json::Value *seed = object.find("fault_seed")) {
-        try {
-            spec.faultSeed = seed->asUInt64();
-        } catch (const json::Error &) {
-            throw ProtocolError(
-                "sim field 'fault_seed' must be an unsigned 64-bit "
-                "integer, got "
-                + std::string(seed->isNumber()
-                                  ? seed->numberText()
-                                  : json::kindName(seed->kind())));
-        }
-    }
-
-    if (!spec.graph.empty()) {
-        if (object.find("model") != nullptr)
-            throw ProtocolError("'graph' and 'model' are mutually "
-                                "exclusive; a graph document is a "
-                                "complete workload");
-        if (spec.batch != 0)
-            throw ProtocolError("'batch' does not apply to 'graph' "
-                                "workloads: a serialized graph bakes "
-                                "its batch into its op costs");
-        if (spec.system == "gpu")
-            throw ProtocolError("the analytic GPU model needs "
-                                "per-model calibration and cannot "
-                                "run 'graph' workloads");
-        try {
-            hpim::nn::loadGraph(spec.graph);
-        } catch (const hpim::nn::GraphParseError &e) {
-            throw ProtocolError(e.what());
-        }
-    } else if (!modelFromToken(spec.model)) {
-        throw ProtocolError("unknown model '" + spec.model + "' ("
-                            + modelTokenList() + ")");
-    }
-    if (!systemFromToken(spec.system))
-        throw ProtocolError("unknown system '" + spec.system + "' ("
-                            + systemTokenList() + ")");
-    bool faults = spec.faultRate > 0.0 || spec.killBanks > 0;
-    if (faults && spec.system == "gpu")
-        throw ProtocolError("fault injection needs a simulated "
-                            "system; the analytic GPU model has no "
-                            "fault layer");
     return spec;
 }
 
 void
 appendSimFields(std::string &out, const SimulateSpec &sim)
 {
+    // Every key comes from the field table.
+    auto key = [&out](SimField field) -> std::string & {
+        out += out.back() == '{' ? "\"" : ",\"";
+        out += rule(field).name;
+        return out += "\":";
+    };
+    auto text = [&](SimField field, const std::string &value) {
+        key(field) += '"';
+        json::escape(out, value);
+        out += '"';
+    };
+    out += "\"sim\":{";
     // A graph workload replaces the model field on the wire; the
     // parser rejects requests carrying both.
-    if (!sim.graph.empty()) {
-        out += "\"sim\":{\"graph\":\"";
-        json::escape(out, sim.graph);
-    } else {
-        out += "\"sim\":{\"model\":\"";
-        json::escape(out, sim.model);
-    }
-    out += "\",\"system\":\"";
-    json::escape(out, sim.system);
-    out += "\",\"steps\":" + std::to_string(sim.steps);
-    out += ",\"freq_scale\":" + json::numberToString(sim.freqScale);
-    out += ",\"progr_pims\":" + std::to_string(sim.progrPims);
-    out += ",\"batch\":" + std::to_string(sim.batch);
-    out += std::string(",\"rc\":") + (sim.rc ? "true" : "false");
-    out += std::string(",\"op\":") + (sim.op ? "true" : "false");
-    out += ",\"fault_rate\":" + json::numberToString(sim.faultRate);
-    out += ",\"kill_banks\":" + std::to_string(sim.killBanks);
-    out += ",\"fault_seed\":" + std::to_string(sim.faultSeed);
-    out += "}";
+    if (sim.graph.empty())
+        text(SimField::Model, sim.model);
+    else
+        text(SimField::Graph, sim.graph);
+    text(SimField::System, sim.system);
+    key(SimField::Steps) += std::to_string(sim.steps);
+    key(SimField::FreqScale) += json::numberToString(sim.freqScale);
+    key(SimField::ProgrPims) += std::to_string(sim.progrPims);
+    key(SimField::Batch) += std::to_string(sim.batch);
+    key(SimField::Rc) += sim.rc ? "true" : "false";
+    key(SimField::Op) += sim.op ? "true" : "false";
+    key(SimField::FaultRate) += json::numberToString(sim.faultRate);
+    key(SimField::KillBanks) += std::to_string(sim.killBanks);
+    out += ",\"fault_seed\":" + std::to_string(sim.faultSeed) + "}";
 }
 
 } // namespace
@@ -368,11 +462,19 @@ parseRequestObject(const json::Value &root)
 {
     Request request;
     bool saw_v = false, saw_id = false, saw_kind = false;
+    bool saw_deadline = false, saw_sim = false;
     const json::Value *sim_object = nullptr;
+    // A member given twice would leave the request and its error echo
+    // reading different copies.
+    auto once = [](bool &saw, std::string_view key) {
+        if (std::exchange(saw, true))
+            throw ProtocolError("duplicate request field '"
+                                + std::string(key) + "'");
+    };
     try {
         for (const auto &[key, value] : root.members()) {
             if (key == "v") {
-                saw_v = true;
+                once(saw_v, key);
                 if (value.asInt64() != protocolVersion)
                     throw ProtocolError(
                         "unsupported protocol version "
@@ -380,10 +482,10 @@ parseRequestObject(const json::Value &root)
                         + " (this daemon speaks v"
                         + std::to_string(protocolVersion) + ")");
             } else if (key == "id") {
-                saw_id = true;
+                once(saw_id, key);
                 request.id = value.asUInt64();
             } else if (key == "kind") {
-                saw_kind = true;
+                once(saw_kind, key);
                 const std::string_view kind = value.asString();
                 if (kind == "ping")
                     request.kind = RequestKind::Ping;
@@ -395,12 +497,14 @@ parseRequestObject(const json::Value &root)
                     throw ProtocolError("unknown request kind '"
                                         + std::string(kind) + "'");
             } else if (key == "deadline_ms") {
+                once(saw_deadline, key);
                 request.deadlineMs = value.asDouble();
                 if (!(request.deadlineMs >= 0.0)
                     || request.deadlineMs > 1e9)
                     throw ProtocolError(
                         "deadline_ms out of range [0, 1e9]");
             } else if (key == "sim") {
+                once(saw_sim, key);
                 if (!value.isObject())
                     throw ProtocolError("'sim' must be an object");
                 sim_object = &value;

@@ -12,10 +12,14 @@
  *
  * Requests name a kind (ping / stats / simulate), an id the response
  * echoes, an optional deadline_ms admission budget, and -- for
- * simulate -- a `sim` object with the same fields, defaults, and
- * ranges as the hpim_cli flags (validated through the same
- * sim::ConfigSchema machinery, so a typo'd field or out-of-range
- * value is a typed `bad_request`, never a silent default).
+ * simulate -- a `sim` object. This file owns the simulate contract:
+ * one table of the sim fields (name, JSON kind, range, whole or not)
+ * that parseRequest() reads the object through and hpim_cli reads
+ * its flags through, and one check of the rules that join fields
+ * (checkSimSpec). A typo'd, repeated, ill-typed, fractional or
+ * out-of-range field is a typed `bad_request`, never a silent
+ * default. A `graph` document is not read here: the worker that runs
+ * the request parses it (serve/simulate.cc).
  *
  * Responses are either `"status":"ok"` with a kind-specific body --
  * a simulate response embeds the report exactly as
@@ -34,6 +38,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "baseline/presets.hh"
 #include "nn/models.hh"
@@ -127,7 +132,7 @@ const char *requestKindName(RequestKind kind);
 
 /**
  * One simulation request: the same knobs as the hpim_cli flags,
- * with the same defaults.
+ * with the same defaults (hpim_cli starts from a default spec).
  */
 struct SimulateSpec
 {
@@ -152,6 +157,55 @@ struct SimulateSpec
     std::uint64_t faultSeed = hpim::sim::defaultSeed;
 };
 
+/**
+ * The members of a request's `sim` object besides `fault_seed`, in
+ * the order the encoder writes them. One table in protocol.cc gives
+ * each its wire name, JSON kind and range.
+ */
+enum class SimField : std::uint8_t
+{
+    Model,
+    Graph,
+    System,
+    Steps,
+    FreqScale,
+    ProgrPims,
+    Batch,
+    Rc,
+    Op,
+    FaultRate,
+    KillBanks,
+};
+
+/**
+ * Append "key 'NAME' = VALUE out of range [MIN, MAX]" to
+ * @p violations unless MIN <= @p value <= MAX. NaN is never in range.
+ * @return whether @p value is in range
+ */
+bool checkRange(std::string_view name, double value, double min,
+                double max, std::vector<std::string> &violations);
+
+/**
+ * Store @p value in the numeric field @p field of @p spec when it is
+ * in the field's inclusive range and, for a count (`steps`,
+ * `progr_pims`, `batch`, `kill_banks`), whole. Otherwise append the
+ * violation, naming the field and the value, and leave @p spec as it
+ * was.
+ */
+void setSimNumber(SimulateSpec &spec, SimField field, double value,
+                  std::vector<std::string> &violations);
+
+/**
+ * Append the rules @p spec breaks that no single field decides: an
+ * unknown model (unless a graph document stands in for it) or
+ * system, a `batch` with a graph, a graph or faults on the analytic
+ * `gpu` system. parseRequest() and hpim_cli call it once every field
+ * is read. Whether `model` was given beside a graph depends on the
+ * reader, so each reader checks that itself.
+ */
+void checkSimSpec(const SimulateSpec &spec,
+                  std::vector<std::string> &violations);
+
 /** One decoded request frame. */
 struct Request
 {
@@ -166,11 +220,12 @@ std::string encodeRequest(const Request &request);
 
 /**
  * Parse and validate a request payload. Throws ProtocolError naming
- * the offending field on malformed JSON, an unknown kind, an
- * unknown/ill-typed/out-of-range sim field, or an unknown model or
- * system name -- the daemon maps the message into a `bad_request`
- * response, so a bad request can never crash or wedge the server.
- * The error carries the request's best-effort id.
+ * the offending member on malformed JSON, a repeated member, an
+ * unknown kind, or any sim field or checkSimSpec() rule it breaks,
+ * every such violation listed -- the daemon maps the message into a
+ * `bad_request` response, so a bad request can never crash or wedge
+ * the server. The error carries the request's best-effort id. A
+ * `graph` document is carried as text, unread.
  */
 Request parseRequest(const std::string &payload);
 

@@ -16,6 +16,7 @@
 
 #include "harness/failpoint.hh"
 #include "harness/json_writer.hh"
+#include "nn/graph_io.hh"
 #include "rt/executor.hh"
 #include "serve/io_retry.hh"
 #include "serve/simulate.hh"
@@ -477,13 +478,13 @@ Server::handleFrame(Connection &conn, const std::string &payload)
                       encodeStats(request.id, statsObjectJson()));
         return;
       case RequestKind::Simulate:
-        admitSimulate(conn, request);
+        admitSimulate(conn, std::move(request));
         return;
     }
 }
 
 void
-Server::admitSimulate(Connection &conn, const Request &request)
+Server::admitSimulate(Connection &conn, Request request)
 {
     if (_draining) {
         _ins->rejectedShutdown.add();
@@ -519,13 +520,13 @@ Server::admitSimulate(Connection &conn, const Request &request)
     const std::uint32_t scope_id = ++_next_scope;
     const std::uint64_t conn_id = conn.id;
     const std::uint64_t id = request.id;
-    const SimulateSpec spec = request.sim;
     const Clock::time_point admitted_at = Clock::now();
 
     // The future is discarded: the lambda catches everything and
-    // always produces exactly one completion.
-    _pool->submit([this, conn_id, id, spec, deadline, scope_id,
-                   admitted_at] {
+    // always produces exactly one completion. The spec, graph document
+    // and all, moves into the task uncopied.
+    _pool->submit([this, conn_id, id, spec = std::move(request.sim),
+                   deadline, scope_id, admitted_at] {
         std::size_t remaining =
             _queued.fetch_sub(1, std::memory_order_relaxed) - 1;
         _ins->queueDepth.set(static_cast<double>(remaining));
@@ -587,6 +588,13 @@ Server::admitSimulate(Connection &conn, const Request &request)
                 _ins->badRequest.add();
                 payload =
                     encodeError(id, ErrorCode::BadRequest, e.what());
+            } catch (const hpim::nn::GraphParseError &e) {
+                // The worker is the first to read a graph document,
+                // so a bad one is admitted and answered here, with the
+                // same code and prefix as any other invalid field.
+                _ins->badRequest.add();
+                payload = encodeError(id, ErrorCode::BadRequest,
+                                      ProtocolError(e.what()).what());
             } catch (const std::exception &e) {
                 _ins->internalErrors.add();
                 payload =

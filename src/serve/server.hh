@@ -10,7 +10,9 @@
  *
  *  - *Bounded admission.* At most `admissionLimit` simulate
  *    requests may be queued for workers; the next one is rejected
- *    immediately with a typed `overloaded` error. Nothing in the
+ *    immediately with a typed `overloaded` error. Admission comes
+ *    before any graph document is read: the worker parses it, and a
+ *    bad one is answered `bad_request` from there. Nothing in the
  *    daemon buffers without a bound: frames are capped by
  *    maxFrameBytes, connections by maxConnections, the worker queue
  *    by the admission limit.
@@ -139,7 +141,7 @@ class Server
     void readReady(Connection &conn);
     void writeReady(Connection &conn);
     void handleFrame(Connection &conn, const std::string &payload);
-    void admitSimulate(Connection &conn, const Request &request);
+    void admitSimulate(Connection &conn, Request request);
     std::string statsObjectJson() const;
     void queueResponse(Connection &conn, std::string payload);
     void closeConnection(std::uint64_t conn_id);

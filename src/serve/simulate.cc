@@ -1,6 +1,8 @@
 #include "serve/simulate.hh"
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "baseline/presets.hh"
 #include "nn/graph_io.hh"
@@ -18,6 +20,8 @@ namespace {
  * User graphs are pure functions of their document text; memoize the
  * parse + reconstruction the same way nn::buildModel memoizes
  * built-in model builds, keyed on the exact bytes of the document.
+ * The daemon's IO thread does not read the document, so this is its
+ * only parse.
  */
 std::shared_ptr<const hpim::nn::Graph>
 cachedUserGraph(const std::string &text)
@@ -37,65 +41,44 @@ cachedUserGraph(const std::string &text)
 hpim::rt::ExecutionReport
 runSimulate(const SimulateSpec &spec)
 {
+    std::vector<std::string> violations;
+    checkSimSpec(spec, violations);
+    panic_if(!violations.empty(),
+             "runSimulate() called with an unvalidated spec: ",
+             violations.front());
     const bool user_graph = !spec.graph.empty();
-    std::optional<hpim::nn::ModelId> model = modelFromToken(spec.model);
-    std::optional<hpim::baseline::SystemKind> system =
-        systemFromToken(spec.system);
-    panic_if((!user_graph && !model) || !system,
-             "runSimulate() called with an unvalidated spec (model '",
-             spec.model, "', system '", spec.system, "')");
-    panic_if(user_graph
-                 && *system == hpim::baseline::SystemKind::Gpu,
-             "graph workloads on the analytic GPU model must be "
-             "rejected at request validation");
-
     const bool faults = spec.faultRate > 0.0 || spec.killBanks > 0;
-    panic_if(faults && *system == hpim::baseline::SystemKind::Gpu,
-             "fault injection on the analytic GPU model must be "
-             "rejected at request validation");
+    const std::optional<hpim::nn::ModelId> model =
+        modelFromToken(spec.model);
+    const std::optional<hpim::baseline::SystemKind> system =
+        systemFromToken(spec.system);
 
-    // The branch structure deliberately mirrors what hpim_cli always
-    // did: the common paths go through baseline::runSystem; only fault
-    // injection and explicit hetero feature flags need a hand-built
-    // SystemConfig.
-    if (faults
-        || (*system == hpim::baseline::SystemKind::HeteroPim
-            && (!spec.rc || !spec.op))) {
-        hpim::rt::SystemConfig config =
-            *system == hpim::baseline::SystemKind::HeteroPim
-                ? hpim::baseline::makeHetero(true, spec.rc, spec.op,
-                                             spec.freqScale,
-                                             spec.progrPims)
-                : hpim::baseline::makeConfig(*system, spec.freqScale,
-                                             spec.progrPims);
-        config.steps = spec.steps;
-        if (faults) {
-            config.faults.enabled = true;
-            config.faults.transientRatePerOp = spec.faultRate;
-            config.faults.killBanks = spec.killBanks;
-            config.faults.seed = spec.faultSeed;
-        }
-        hpim::rt::HeteroRuntime runtime(config);
-        if (user_graph) {
-            std::shared_ptr<const hpim::nn::Graph> graph =
-                cachedUserGraph(spec.graph);
-            return runtime.train(*graph).execution;
-        }
-        hpim::nn::Graph graph =
-            hpim::nn::buildModel(*model, spec.batch);
-        return runtime.train(graph).execution;
+    if (*system == hpim::baseline::SystemKind::Gpu)
+        return hpim::baseline::runSystem(*system, *model, spec.steps,
+                                         spec.freqScale, spec.progrPims,
+                                         spec.batch);
+
+    // runSystem's non-GPU tail, with the hetero feature flags and the
+    // fault fields on top: makeConfig(HeteroPim, ...) is
+    // makeHetero(true, true, true, ...).
+    hpim::rt::SystemConfig config =
+        *system == hpim::baseline::SystemKind::HeteroPim
+            ? hpim::baseline::makeHetero(true, spec.rc, spec.op,
+                                         spec.freqScale, spec.progrPims)
+            : hpim::baseline::makeConfig(*system, spec.freqScale,
+                                         spec.progrPims);
+    config.steps = spec.steps;
+    if (faults) {
+        config.faults.enabled = true;
+        config.faults.transientRatePerOp = spec.faultRate;
+        config.faults.killBanks = spec.killBanks;
+        config.faults.seed = spec.faultSeed;
     }
-    if (user_graph) {
-        std::shared_ptr<const hpim::nn::Graph> graph =
-            cachedUserGraph(spec.graph);
-        return hpim::baseline::runSystemGraph(*system, *graph,
-                                              spec.steps,
-                                              spec.freqScale,
-                                              spec.progrPims);
-    }
-    return hpim::baseline::runSystem(*system, *model, spec.steps,
-                                     spec.freqScale, spec.progrPims,
-                                     spec.batch);
+    hpim::rt::HeteroRuntime runtime(config);
+    if (user_graph)
+        return runtime.train(*cachedUserGraph(spec.graph)).execution;
+    return runtime.train(hpim::nn::buildModel(*model, spec.batch))
+        .execution;
 }
 
 } // namespace hpim::serve

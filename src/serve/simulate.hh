@@ -20,9 +20,11 @@ namespace hpim::serve {
 /**
  * Run the simulation @p spec describes and return its report.
  *
- * @p spec must be valid (what parseRequest produces); unknown model
- * or system tokens panic, because they indicate a caller that
- * skipped validation, not a user error. Honors the calling thread's
+ * @p spec must be valid (what parseRequest produces); a spec that
+ * checkSimSpec() refuses panics, because it indicates a caller that
+ * skipped validation, not a user error. A `graph` document is parsed
+ * here, the only parse a served document gets, and one that does not
+ * load throws nn::GraphParseError. Honors the calling thread's
  * sim::DeadlineScope: the run throws sim::DeadlineExceeded at the
  * next phase boundary once the budget is spent.
  */

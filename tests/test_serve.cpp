@@ -348,6 +348,153 @@ TEST(ServeProtocol, MalformedRequestsThrowTyped)
     }
 }
 
+/** parseRequest() of a simulate request whose `sim` object holds
+ *  @p members. */
+serve::SimulateSpec
+simOf(const std::string &members)
+{
+    return serve::parseRequest(
+               "{\"v\":1,\"id\":1,\"kind\":\"simulate\",\"sim\":{"
+               + members + "}}")
+        .sim;
+}
+
+/** The message parseRequest() refuses @p payload with. */
+std::string
+refusal(const std::string &payload)
+{
+    try {
+        serve::parseRequest(payload);
+    } catch (const serve::ProtocolError &e) {
+        return e.what();
+    }
+    return "accepted";
+}
+
+/** The message a simulate request whose `sim` object holds @p members
+ *  is refused with. */
+std::string
+simRefusal(const std::string &members)
+{
+    return refusal("{\"v\":1,\"id\":1,\"kind\":\"simulate\",\"sim\":{"
+                   + members + "}}");
+}
+
+TEST(ServeProtocol, IntegerTokenInADoubleFieldIsAccepted)
+{
+    EXPECT_EQ(simOf("\"freq_scale\":2").freqScale, 2.0);
+    EXPECT_EQ(simOf("\"fault_rate\":0").faultRate, 0.0);
+}
+
+TEST(ServeProtocol, RangeEndpointsAreInclusive)
+{
+    EXPECT_EQ(simOf("\"steps\":1").steps, 1u);
+    EXPECT_EQ(simOf("\"steps\":1000000").steps, 1000000u);
+    EXPECT_EQ(simOf("\"freq_scale\":0.015625").freqScale, 1.0 / 64);
+    EXPECT_EQ(simOf("\"freq_scale\":128").freqScale, 128.0);
+    EXPECT_EQ(simOf("\"fault_rate\":1").faultRate, 1.0);
+    EXPECT_EQ(simOf("\"progr_pims\":256").progrPims, 256u);
+    EXPECT_EQ(simOf("\"batch\":65536").batch, 65536);
+    EXPECT_EQ(simOf("\"kill_banks\":4096").killBanks, 4096u);
+    // Whole values in any JSON spelling count.
+    EXPECT_EQ(simOf("\"steps\":2.0").steps, 2u);
+    EXPECT_EQ(simOf("\"steps\":1e2").steps, 100u);
+}
+
+TEST(ServeProtocol, ViolationMessagesArePinned)
+{
+    EXPECT_EQ(simRefusal("\"steps\":0"),
+              "protocol: invalid sim config: key 'steps' = 0 out of "
+              "range [1, 1e+06]");
+    EXPECT_EQ(simRefusal("\"freq_scale\":200"),
+              "protocol: invalid sim config: key 'freq_scale' = 200 "
+              "out of range [0.015625, 128]");
+    EXPECT_EQ(simRefusal("\"rc\":1"),
+              "protocol: invalid sim config: key 'rc' must be bool, "
+              "got int");
+    EXPECT_EQ(simRefusal("\"model\":2.5"),
+              "protocol: invalid sim config: key 'model' must be "
+              "string, got double");
+    EXPECT_EQ(simRefusal("\"steps\":\"4\""),
+              "protocol: invalid sim config: key 'steps' must be int, "
+              "got string");
+    EXPECT_EQ(simRefusal("\"stepz\":4"),
+              "protocol: invalid sim config: unknown key 'stepz'");
+}
+
+TEST(ServeProtocol, EveryViolationIsListed)
+{
+    EXPECT_EQ(simRefusal("\"steps\":0,\"rc\":1"),
+              "protocol: invalid sim config: key 'steps' = 0 out of "
+              "range [1, 1e+06]; key 'rc' must be bool, got int");
+}
+
+TEST(ServeProtocol, FieldAndCrossFieldViolationsAreListedTogether)
+{
+    // A null used to stop the read at once, and the first cross-field
+    // rule broken to hide the rest.
+    EXPECT_EQ(simRefusal("\"model\":\"gpt5\",\"system\":\"gpu\","
+                         "\"kill_banks\":2,\"steps\":null"),
+              "protocol: invalid sim config: sim field 'steps' has an "
+              "unsupported JSON type; unknown model 'gpt5' (vgg19 "
+              "alexnet dcgan resnet50 inception3 lstm word2vec); fault "
+              "injection needs a simulated system; the analytic GPU "
+              "model has no fault layer");
+}
+
+TEST(ServeProtocol, FractionalCountsAreRejected)
+{
+    // Each used to run its value rounded toward zero: 2 steps, no
+    // faults, 1 programmable PIM, a batch of 31.
+    EXPECT_EQ(simRefusal("\"steps\":2.5"),
+              "protocol: invalid sim config: key 'steps' = 2.5 is not "
+              "a whole number");
+    EXPECT_EQ(simRefusal("\"kill_banks\":0.5"),
+              "protocol: invalid sim config: key 'kill_banks' = 0.5 is "
+              "not a whole number");
+    EXPECT_EQ(simRefusal("\"progr_pims\":1.9"),
+              "protocol: invalid sim config: key 'progr_pims' = 1.9 is "
+              "not a whole number");
+    EXPECT_EQ(simRefusal("\"batch\":31.7"),
+              "protocol: invalid sim config: key 'batch' = 31.7 is not "
+              "a whole number");
+    // Its value, not a rounded spelling that looks in range.
+    EXPECT_EQ(simRefusal("\"steps\":1000000.5"),
+              "protocol: invalid sim config: key 'steps' = 1000000.5 "
+              "is not a whole number");
+}
+
+TEST(ServeProtocol, DuplicateMembersAreRejected)
+{
+    // Each used to keep the last copy, while an error echoed the
+    // first id.
+    try {
+        serve::parseRequest("{\"v\":1,\"id\":1,\"id\":2,\"kind\":\"ping\"}");
+        ADD_FAILURE() << "accepted";
+    } catch (const serve::ProtocolError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "protocol: duplicate request field 'id'");
+        EXPECT_EQ(e.id, 1u);
+    }
+    EXPECT_EQ(refusal("{\"v\":1,\"id\":1,\"kind\":\"simulate\","
+                      "\"sim\":{\"steps\":1},\"sim\":{\"steps\":2}}"),
+              "protocol: duplicate request field 'sim'");
+    EXPECT_EQ(simRefusal("\"steps\":1,\"steps\":2"),
+              "protocol: invalid sim config: duplicate key 'steps'");
+    EXPECT_EQ(simRefusal("\"fault_seed\":1,\"fault_seed\":2"),
+              "protocol: invalid sim config: duplicate key "
+              "'fault_seed'");
+}
+
+TEST(ServeProtocol, GraphDocumentIsCarriedUnread)
+{
+    // The worker parses a document, not the IO thread: the daemon
+    // still answers this one bad_request (the ServeServer cases with
+    // ids 60, 71 and 79).
+    EXPECT_EQ(simOf("\"graph\":\"{\\\"schema_version\\\":1}\"").graph,
+              "{\"schema_version\":1}");
+}
+
 TEST(ServeProtocol, ErrorResponseRoundTrips)
 {
     const std::string payload = serve::encodeError(
@@ -489,6 +636,55 @@ TEST(ServeServer, BadRequestGetsTypedErrorAndConnectionSurvives)
     ASSERT_TRUE(pong.has_value());
     EXPECT_TRUE(pong->ok);
     EXPECT_EQ(pong->id, 78u);
+}
+
+TEST(ServeServer, BadGraphDocumentIsAdmittedBeforeItIsRead)
+{
+    serve::ServerOptions options = smallServer("admitdoc");
+    options.workers = 1;
+    TestServer server(std::move(options));
+    RawConn conn(server->socketPath());
+
+    // A slow request holds the only worker. The bad document behind it
+    // is admitted unread and its microscopic budget expires in the
+    // queue.
+    serve::Request bad = simulateRequest(2, "alexnet", 1, 0.001);
+    bad.sim.graph = "{\"schema_version\":1}";
+    conn.sendFrame(
+        serve::encodeRequest(simulateRequest(1, "alexnet", 16)));
+    conn.sendFrame(serve::encodeRequest(bad));
+    auto first = conn.readResponse();
+    auto second = conn.readResponse();
+    ASSERT_TRUE(first.has_value());
+    ASSERT_TRUE(second.has_value());
+    EXPECT_TRUE(first->ok);
+    EXPECT_EQ(second->id, 2u);
+    EXPECT_EQ(second->code, serve::ErrorCode::DeadlineExceeded);
+
+    // Without a budget, the worker's parse answers it.
+    bad.id = 3;
+    bad.deadlineMs = 0.0;
+    conn.sendFrame(serve::encodeRequest(bad));
+    auto error = conn.readResponse();
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->code, serve::ErrorCode::BadRequest);
+    EXPECT_EQ(error->id, 3u);
+    EXPECT_EQ(error->message, "protocol: graph parse error: missing "
+                              "field (field 'name') at line 1");
+
+    serve::Request stats;
+    stats.id = 4;
+    stats.kind = serve::RequestKind::Stats;
+    conn.sendFrame(serve::encodeRequest(stats));
+    auto reply = conn.readResponse();
+    ASSERT_TRUE(reply.has_value());
+    harness::json::Value parsed =
+        harness::json::parse(reply->statsJson);
+    EXPECT_EQ(parsed.at("admitted").asUInt64(), 3u);
+    EXPECT_EQ(parsed.at("completed").asUInt64(), 1u);
+    EXPECT_EQ(parsed.at("deadline_queued").asUInt64(), 1u);
+    EXPECT_EQ(parsed.at("bad_request").asUInt64(), 1u);
+    EXPECT_EQ(parsed.at("internal_errors").asUInt64(), 0u);
 }
 
 TEST(ServeServer, MalformedNumbersAreBadRequestsAndConnectionSurvives)
